@@ -5,18 +5,24 @@ into the quadratic branch equation; clearing the structured denominator
 leaves a polynomial Q(x; K1, K2, K3; params) that is homogeneous of degree
 two in K.  Each x-power contributes one conic C_i in the projective plane
 with homogeneous coordinates (K1 : K2 : K3), and the branch claim is decided
-by exact elimination on these conics at exact rational parameter points:
+by linear algebra on these conics at exact rational parameter points.
 
-  * pairwise resultants in K3 produce binary forms in (K1, K2); a common
-    projective zero with (K1, K2) != 0 forces their gcd to vanish, so a
-    constant gcd certifies incompatibility (the point (0:0:1) is tested
-    separately);
-  * a nonconstant gcd yields candidate lines, on which the system restricts
-    to binary forms whose gcd decides existence exactly; any surviving zero
-    is returned as an explicit witness and re-verified against every conic.
+K is a common zero exactly when its Veronese image v(K) = (K1^2, K2^2,
+K3^2, K1K2, K1K3, K2K3) lies in the kernel N of the conics' coefficient
+rows, and W(v(K)) = K K^T for W(w) = [[w0,w3,w4],[w3,w1,w5],[w4,w5,w2]].
+So the common zeros are the rank-1 members of W(N), and n = dim N decides:
 
-Every verdict carries a transcript that can be re-checked by evaluation
-without re-running the pipeline.
+  * n = 0: incompatible;
+  * n = 1: compatible iff the 2x2 minors of W(w) vanish;
+  * n = 2: compatible iff the 2x2 minors of s W1 + t W2, binary quadratics,
+    have a nonconstant gcd; a rational root (s:t) gives the witness;
+  * n >= 3: at most three independent conics.  Three conics without a
+    common zero form a regular sequence, which generates every quartic
+    form, so compatible iff the degree-4 Macaulay matrix has rank < 15.
+
+Every verdict carries a transcript (rank, kernel basis and the quantity
+that decided) that can be re-checked by evaluation without re-running the
+pipeline; a witness is re-verified against every conic.
 """
 
 from __future__ import annotations
@@ -24,18 +30,18 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Callable
 
 from .jets import generate_conditions
-from .mpoly import MPoly, Scalar, exact_div, poly_gcd, resultant
-from .odes import (BRANCHES, BRANCH_ANCHORS, Branch, LinearODE, NonlinearODE,
-                   SolutionBasis, _residual_parts, ansatz_denominator,
-                   branch_system, center_and_reduce, degeneration_branches,
-                   rational_kernel, specialize_quartic, solves,
-                   DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
-from .ratfunc import RatFunc
+from .linsolve import matrix_kernel
+from .mpoly import MPoly, Scalar, exact_div, poly_gcd
+from .odes import (BRANCHES, BRANCH_ANCHORS, Branch, NonlinearODE, SolutionBasis,
+                   _residual_parts, ansatz_denominator, branch_system,
+                   center_and_reduce, degeneration_branches, rational_kernel,
+                   specialize_quartic, DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
 
 K_VARS = ("K1", "K2", "K3")
 
@@ -158,7 +164,7 @@ def _check_k_homogeneous(q: MPoly) -> None:
 
 @dataclass(frozen=True)
 class IncompatibilityResult:
-    verdict: str                  # "incompatible" | "compatible" | "undecided"
+    verdict: str                  # "incompatible" | "compatible"
     witness: Optional[Tuple[Fraction, Fraction, Fraction]]
     witness_description: str
     transcript: Tuple[str, ...]
@@ -174,186 +180,129 @@ def conic_incompatibility(forms: Sequence[QuadraticForm],
     """Exact verdict on the specialised conic system.
 
     incompatible: no common projective zero (K1:K2:K3) over the complex
-    numbers.  compatible: a common zero exists; a rational witness is
-    reported when one exists on a rational candidate line, otherwise the
-    witness is described by its defining equations.
+    numbers.  compatible: a common zero exists.  The witness is a rational
+    common zero; it is None when there is none (kernel dimension <= 2) or
+    when no kernel basis vector is one (kernel dimension >= 3), and the
+    description then says which.
     """
     point = {k: Fraction(v) for k, v in specialization.items()}
-    fs = []
-    transcript = [f"specialization: {_fmt_point(point)}"]
-    for f in forms:
-        sp = f.specialize(point).as_poly()
-        if not sp.is_zero:
-            fs.append(sp)
-    transcript.append(f"nonzero conics: {len(fs)} of {len(forms)}")
-    if len(fs) < 2:
+    rows = [r for r in (_veronese_row(f, point) for f in forms) if any(r)]
+    transcript = [f"specialization: {_fmt_point(point)}",
+                  f"nonzero conics: {len(rows)} of {len(forms)}"]
+    if len(rows) < 2:
         raise ValueError("need at least two nonzero conics after specialization")
-    # the point (0:0:1) is invisible to K3-elimination, test it directly
-    if all(f.evaluate({"K1": 0, "K2": 0, "K3": 1}) == 0 for f in fs):
-        transcript.append("common zero at (0:0:1)")
-        return IncompatibilityResult("compatible", (Fraction(0), Fraction(0), Fraction(1)),
-                                     "projective point (0:0:1)", tuple(transcript))
-    transcript.append("(0:0:1) excluded")
-    elim: List[MPoly] = []
-    k3_free = [f for f in fs if f.degree("K3") <= 0]
-    k3_pos = [f for f in fs if f.degree("K3") > 0]
-    for f in k3_free:
-        elim.append(f)
-    for i in range(len(k3_pos)):
-        for j in range(i + 1, len(k3_pos)):
-            elim.append(resultant(k3_pos[i], k3_pos[j], "K3"))
-    elim = [e for e in elim if not e.is_zero] or [MPoly.zero()]
-    if all(e.is_zero for e in elim):
-        # all pairs share a component; fall back to line analysis over
-        # the whole projective line set of one conic is out of scope here
-        transcript.append("all eliminants vanish: shared pencil component")
-        return IncompatibilityResult("undecided", None,
-                                     "degenerate pencil (all resultants zero)",
-                                     tuple(transcript))
-    g = MPoly.zero()
-    for e in elim:
-        g = e if g.is_zero else poly_gcd(g, e)
-    transcript.append(f"gcd of {len(elim)} eliminants: {g.to_text()}")
-    if g.is_constant():
-        transcript.append("gcd constant: no common zero with (K1,K2) != (0,0)")
+    kernel = _kernel(rows, 6)
+    n = len(kernel)
+    transcript.append(f"rank {6 - n}, nullity {n}")
+    transcript.append("kernel basis: " + "; ".join(_fmt_vector(w) for w in kernel))
+    rank_one = next((w for w in kernel if not any(_minors(w))), None)
+    description = ""
+    if n == 0:
+        compatible = False
+    elif n == 1:
+        compatible = rank_one is not None
+        transcript.append(f"W rank {'1' if compatible else '> 1'}")
+    elif n == 2:
+        s, t = MPoly.var("s"), MPoly.var("t")
+        g = MPoly.zero()
+        for m in _minors([s * a + t * b for a, b in zip(*kernel)]):
+            if not m.is_zero:
+                g = poly_gcd(g, m)
+        transcript.append(f"pencil gcd: {g.to_text()}")
+        compatible = g.is_zero or not g.is_constant()
+        if compatible:
+            root = (1, 0) if g.is_zero else _binary_root(g)
+            if root is None:
+                description = (f"common zero over C only: pencil factor {g.to_text()} "
+                               "is irreducible over Q")
+            else:
+                rank_one = [root[0] * a + root[1] * b for a, b in zip(*kernel)]
+    else:
+        macaulay = []
+        for r in rows:
+            for mono in _QUADRATIC:
+                row = [Fraction(0)] * len(_QUARTIC)
+                for coeff, q in zip(r, _QUADRATIC):
+                    row[_QUARTIC.index(tuple(i + j for i, j in zip(mono, q)))] += coeff
+                macaulay.append(row)
+        rank = len(_QUARTIC) - len(_kernel(macaulay, len(_QUARTIC)))
+        transcript.append(f"degree-4 Macaulay rank: {rank} of {len(_QUARTIC)}")
+        compatible = rank < len(_QUARTIC)
+        if rank_one is None:
+            description = "common zero over C; no kernel basis vector has rank 1"
+    if not compatible:
         return IncompatibilityResult("incompatible", None, "", tuple(transcript))
-    lines, leftover = _candidate_lines(g)
-    transcript.append(f"candidate lines (K1:K2): {[f'({a}:{b})' for a, b in lines]}"
-                      + (f", unresolved factor: {leftover.to_text()}" if leftover else ""))
-    for (a, b) in lines:
-        res = _line_common_zero(fs, a, b)
-        transcript.append(f"line ({a}:{b}): {res[2]}")
-        if res[0] == "compatible":
-            return IncompatibilityResult("compatible", res[1], res[2], tuple(transcript))
-        if res[0] == "undecided":
-            return IncompatibilityResult("undecided", None, res[2], tuple(transcript))
-    if leftover:
-        return IncompatibilityResult("undecided", None,
-                                     f"candidate factor without rational roots: {leftover.to_text()}",
-                                     tuple(transcript))
-    transcript.append("all candidate lines excluded")
-    return IncompatibilityResult("incompatible", None, "", tuple(transcript))
+    witness = None if rank_one is None else _witness(rank_one)
+    if witness is not None:
+        description = "rational witness ({}:{}:{})".format(*witness)
+    transcript.append(description)
+    return IncompatibilityResult("compatible", witness, description, tuple(transcript))
+
+
+# exponents of (K1, K2, K3) in the Veronese coordinates, and all quartic monomials
+_QUADRATIC = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_QUARTIC = sorted({tuple(i + j for i, j in zip(p, q)) for p in _QUADRATIC for q in _QUADRATIC})
+
+
+def _veronese_row(form: QuadraticForm, point: Dict[str, Fraction]) -> List[Fraction]:
+    """(M00, M11, M22, 2M01, 2M02, 2M12): the conic is this row dotted with
+    the Veronese image (K1^2, K2^2, K3^2, K1K2, K1K3, K2K3)."""
+    m = form.matrix
+    return [m[0][0].evaluate(point), m[1][1].evaluate(point), m[2][2].evaluate(point),
+            2 * m[0][1].evaluate(point), 2 * m[0][2].evaluate(point),
+            2 * m[1][2].evaluate(point)]
+
+
+def _kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
+    basis, _ = matrix_kernel([[MPoly.const(v) for v in r] for r in rows], ncols)
+    return [[v.evaluate({}) for v in w] for w in basis]
+
+
+def _symmetric(w: Sequence) -> Tuple[Tuple, ...]:
+    """W(w), the symmetric matrix with W(v(K)) = K K^T."""
+    return ((w[0], w[3], w[4]), (w[3], w[1], w[5]), (w[4], w[5], w[2]))
+
+
+def _minors(w: Sequence) -> List:
+    m = _symmetric(w)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return [m[i][k] * m[j][l] - m[i][l] * m[j][k] for i, j in pairs for k, l in pairs]
+
+
+def _witness(w: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:
+    """K with W(w) proportional to K K^T, for W(w) of rank 1: its first
+    nonzero column, scaled so that its first nonzero entry is 1."""
+    col = next(c for c in _symmetric(w) if any(c))
+    lead = next(v for v in col if v)
+    return tuple(v / lead for v in col)
+
+
+def _binary_root(g: MPoly) -> Optional[Tuple[Fraction, Fraction]]:
+    """A rational root (s, t) of the binary form g in (s, t) of degree 1 or 2,
+    or None when g is an irreducible quadratic over Q."""
+    d = sum(next(iter(g.terms)))
+    coeffs = [g.coefficient("s", d - i).evaluate({"t": 1}) for i in range(d + 1)]
+    a = coeffs[0]
+    if a == 0:
+        return Fraction(1), Fraction(0)
+    if d == 1:
+        return -coeffs[1], a
+    b, c = coeffs[1], coeffs[2]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return None
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return None
+    return -b + Fraction(num, den), 2 * a
 
 
 def _fmt_point(point: Dict[str, Fraction]) -> str:
     return ", ".join(f"{k}={point[k]}" for k in sorted(point))
 
 
-def _divide_out_var(work: MPoly, var: str) -> Tuple[MPoly, int]:
-    count = 0
-    while var in work.vars and all(e[work.vars.index(var)] >= 1 for e in work.terms):
-        work = exact_div(work, MPoly.var(var))
-        count += 1
-    return work, count
-
-
-def _candidate_lines(g: MPoly) -> Tuple[List[Tuple[Fraction, Fraction]], Optional[MPoly]]:
-    """Rational projective roots (K1:K2) of a binary form, plus any
-    unresolved positive-degree factor without rational roots."""
-    lines: List[Tuple[Fraction, Fraction]] = []
-    work, m1 = _divide_out_var(g, "K1")
-    if m1:
-        lines.append((Fraction(0), Fraction(1)))
-    work, m2 = _divide_out_var(work, "K2")
-    if m2:
-        lines.append((Fraction(1), Fraction(0)))
-    uni = work.subs({"K1": 1})
-    leftover = None
-    if "K2" in uni.vars:
-        for r in _rational_roots(uni, "K2"):
-            lines.append((Fraction(1), r))
-            factor = MPoly.var("K2") - MPoly.const(r)
-            while True:
-                try:
-                    uni = exact_div(uni, factor)
-                except ValueError:
-                    break
-        if not uni.is_constant():
-            leftover = uni
-    return lines, leftover
-
-
-def _rational_roots(poly: MPoly, var: str) -> List[Fraction]:
-    """All rational roots of a univariate polynomial over the rationals."""
-    coeffs_map = poly.collect(var)
-    deg = max(coeffs_map)
-    dense = []
-    for i in range(deg + 1):
-        c = coeffs_map.get(i, MPoly.zero())
-        dense.append(c.constant_value() if not c.is_zero else Fraction(0))
-    from math import gcd as igcd
-    den_l = 1
-    for q in dense:
-        den_l = den_l * q.denominator // igcd(den_l, q.denominator)
-    ints = [int(q * den_l) for q in dense]
-    roots: List[Fraction] = []
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-    if not ints or len(ints) == 1:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _divisors(n: int) -> List[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _line_common_zero(fs: Sequence[MPoly], a: Fraction, b: Fraction):
-    """Common zeros of all conics on the line (K1, K2) = s*(a, b).
-
-    Returns (verdict, witness, description): the restriction of each conic
-    is a binary form in (s, K3), and a common zero with s != 0 exists iff
-    their gcd has a root besides s = 0.
-    """
-    restricted = []
-    for f in fs:
-        r = f.subs({"K1": MPoly.var("K1") * a, "K2": MPoly.var("K1") * b})
-        # rename the line parameter: K1 now plays the role of s
-        restricted.append(r)
-    g = MPoly.zero()
-    for r in restricted:
-        if r.is_zero:
-            continue
-        g = r if g.is_zero else poly_gcd(g, r)
-    if g.is_zero:
-        # whole line consists of common zeros
-        return ("compatible", (a, b, Fraction(0)), f"entire line (K1:K2)=({a}:{b})")
-    if g.is_constant():
-        return ("incompatible", None, "no common zero on line")
-    work, _ = _divide_out_var(g, "K1")
-    if work.is_constant():
-        return ("incompatible", None, "gcd vanishes only at (0:0:1), already excluded")
-    # roots with s != 0: dehomogenize s = 1
-    uni = work.subs({"K1": 1})
-    if "K3" not in uni.vars:
-        return ("compatible", (a, b, Fraction(0)), f"line factor independent of K3: {work.to_text()}")
-    roots = _rational_roots(uni, "K3")
-    if roots:
-        k3 = roots[0]
-        return ("compatible", (a, b, k3),
-                f"rational witness ({a}:{b}:{k3})")
-    return ("undecided", None,
-            f"gcd on line has no rational root: {work.to_text()}")
+def _fmt_vector(w: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(str(v) for v in w) + ")"
 
 
 @dataclass(frozen=True)
@@ -511,8 +460,6 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0,
                     if f.specialize(point).value(result.witness) != 0:
                         return fail(f"witness[{branch.name}]",
                                     "reported witness fails a conic")
-            if result.verdict == "undecided":
-                return fail(f"elimination[{branch.name}]", result.witness_description)
             records.append(TrialRecord(point, result.verdict, result.witness,
                                        result.digest))
             if result.verdict == "compatible" and not witness_summary:

@@ -185,6 +185,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 0:
+        print("error: --trials must be non-negative", file=sys.stderr)
+        return 2
     cert = verify_quartic_theorem(trials=args.trials, seed=args.seed,
                                   degree_bound=args.degree_bound)
     payload = cert.to_json_dict()
@@ -223,14 +226,11 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     npot = NumericPotential.from_potential(pot)
-    traj = integrate_hamilton(npot, init, args.dt, args.T)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x1", "y1", "x2", "y2", "H"])
-            for t, s, h in zip(traj.times, traj.states, traj.energies):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in s]
-                                + [repr(float(h))])
+    try:
+        traj = integrate_hamilton(npot, init, args.dt, args.T)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = {"csv": args.out or "",
                "samples": int(traj.states.shape[0]),
                "energy_drift": traj.energy_drift(),
@@ -245,10 +245,21 @@ def _cmd_simulate(args) -> int:
                   file=sys.stderr)
             return 2
         samples = nve_coefficient_samples(traj, npot)
-        ok, residual = polynomial_degree_test(samples, args.degree_test)
+        try:
+            ok, residual = polynomial_degree_test(samples, args.degree_test)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         payload["degree_test"] = {"degree": args.degree_test, "pass": ok,
                                    "residual": residual}
         exit_code = 0 if ok else 1
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x1", "y1", "x2", "y2", "H"])
+            for t, s, h in zip(traj.times, traj.states, traj.energies):
+                writer.writerow([repr(float(t))] + [repr(float(v)) for v in s]
+                                + [repr(float(h))])
     if traj.diverged:
         status = "fail"
         exit_code = 1
@@ -278,9 +289,13 @@ def _cmd_degree_test(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     npot = NumericPotential.from_potential(pot)
-    traj = integrate_hamilton(npot, (x1, y1, 0.0, 0.0), args.dt, args.T)
-    samples = nve_coefficient_samples(traj, npot)
-    ok, residual = polynomial_degree_test(samples, args.degree)
+    try:
+        traj = integrate_hamilton(npot, (x1, y1, 0.0, 0.0), args.dt, args.T)
+        ok, residual = polynomial_degree_test(nve_coefficient_samples(traj, npot),
+                                              args.degree)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = {"degree": args.degree, "pass": ok, "residual": residual}
     report = _report("degree-test",
                      {"potential": args.potential, "init": args.init,

@@ -167,6 +167,8 @@ def polynomial_degree_test(samples: Sequence[float], degree: int,
     returned residual is the relative least-squares error of the best
     degree-`degree` fit (a diagnostic, not the pass criterion).
     """
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     data = np.asarray(samples, dtype=float)
     if data[::max(stride, 1)].size < degree + 2:
         raise ValueError("too few samples for the requested degree")

@@ -125,15 +125,6 @@ def generate_conditions(degree: int) -> DiffCondition:
     return DiffCondition(degree, tuple(conds))
 
 
-def xh_power_concrete(alpha: MPoly, phi: MPoly, n: int) -> MPoly:
-    """X_h^n alpha for concrete polynomial alpha(x1), phi(x1): MPoly in (x1, y1)."""
-    cur = alpha
-    dphi = phi.diff("x1")
-    for _ in range(n):
-        cur = (MPoly.var(Y1) * cur.diff("x1") - dphi * cur.diff(Y1))
-    return cur
-
-
 def pullback_condition(q: MPoly, alpha: MPoly, phi: MPoly) -> MPoly:
     """Substitute aK -> X_h^K alpha (at concrete alpha, phi) into q.
 

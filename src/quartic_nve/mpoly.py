@@ -114,11 +114,6 @@ class MPoly:
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms) if self.vars else 0
-
     def leading(self) -> Tuple[Exponents, Fraction]:
         """Largest term under the canonical lexicographic order."""
         if self.is_zero:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .jets import DiffCondition, alpha_jet, phi_jet
 from .linsolve import determinant, matrix_kernel
 from .mpoly import MPoly, Scalar, det_mpoly, exact_div, poly_gcd
-from .ratfunc import RatFunc, eval_ratfunc
+from .ratfunc import RatFunc
 
 Y_JETS = ("y", "yp", "ypp")
 

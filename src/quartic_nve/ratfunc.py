@@ -128,12 +128,6 @@ class RatFunc:
         return RatFunc(self.num.diff(var) * self.den - self.num * self.den.diff(var),
                        self.den * self.den)
 
-    def subs_scalar(self, point: Mapping[str, Scalar]) -> "RatFunc":
-        """Substitute rational values for a subset of the variables."""
-        num = self.num.subs(point)
-        den = self.den.subs(point)
-        return RatFunc(num, den)
-
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         d = self.den.evaluate(point)
         if d == 0:
@@ -146,28 +140,3 @@ class RatFunc:
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     __str__ = to_text
-
-
-def eval_ratfunc(p: MPoly, assignment: Mapping[str, Union[RatFunc, MPoly, Scalar]]) -> RatFunc:
-    """Evaluate an MPoly with RatFunc values for some variables.
-
-    Unassigned variables stay symbolic.  The result is reduced.
-    """
-    values = {n: RatFunc._coerce(v) for n, v in assignment.items()}
-    total = RatFunc.zero()
-    cache: dict = {}
-    for exps, coeff in p.terms.items():
-        term = RatFunc(coeff)
-        for i, v in enumerate(p.vars):
-            k = exps[i]
-            if k == 0:
-                continue
-            if v in values:
-                key = (v, k)
-                if key not in cache:
-                    cache[key] = values[v] ** k
-                term = term * cache[key]
-            else:
-                term = term * MPoly.var(v, k)
-        total = total + term
-    return total

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,29 @@ def _diag_form(idx, kname):
     return QuadraticForm(idx, tuple(tuple(r) for r in m))
 
 
+def _random_line(rng, through=None):
+    """Random integer linear form in K, vanishing at `through` if given."""
+    while True:
+        u = [rng.randint(-3, 3) for _ in range(3)]
+        if through is not None:
+            p = through
+            u = [u[1] * p[2] - u[2] * p[1], u[2] * p[0] - u[0] * p[2],
+                 u[0] * p[1] - u[1] * p[0]]
+        if any(u):
+            return u[0] * K1 + u[1] * K2 + u[2] * K3
+
+
+def _random_conic(rng, points):
+    """Random integer conic through each of at most two projective points:
+    a sum of products L*M with L through the first and M through the second."""
+    through = list(points) + [None] * (2 - len(points))
+    while True:
+        conic = sum((_random_line(rng, through[0]) * _random_line(rng, through[1])
+                     for _ in range(2)), MPoly.zero())
+        if not conic.is_zero:
+            return conic
+
+
 def _product_form(idx, ka, kb):
     names = ("K1", "K2", "K3")
     m = [[MPoly.zero()] * 3 for _ in range(3)]
@@ -185,6 +209,25 @@ class TestConicIncompatibility:
         # the plane K1 = 0 is a common zero set; (0:1:0) belongs to it
         assert all(f.value((0, 1, 0)).is_zero for f in forms)
 
+    def test_coordinate_triangle_compatible(self):
+        # three independent conics (kernel dimension 3) meeting at the
+        # coordinate points
+        forms = [_product_form(0, "K1", "K2"), _product_form(1, "K1", "K3"),
+                 _product_form(2, "K2", "K3")]
+        res = conic_incompatibility(forms, {})
+        assert res.verdict == "compatible"
+        assert res.witness is not None
+        assert all(f.value(res.witness).is_zero for f in forms)
+
+    def test_irrational_common_zero_is_compatible(self):
+        # the common zeros (1 : 0 : +-sqrt 2) have no rational representative
+        conics = [K2 ** 2, K1 * K2, K2 * K3, K3 ** 2 - 2 * K1 ** 2]
+        res = conic_incompatibility([extract_forms(p)[0] for p in conics], {})
+        assert res.verdict == "compatible"
+        assert res.witness is None
+        exists, why = common_projective_zero_exists(conics)
+        assert exists, why
+
     def test_needs_two_forms(self):
         with pytest.raises(ValueError):
             conic_incompatibility([_diag_form(0, "K1")], {})
@@ -207,9 +250,15 @@ class TestConicIncompatibility:
     def test_b_zero_branch_compatible_with_inverse_square_witness(self, pipeline):
         # the classical incompatibility claim fails here: (1 : 0 : 4e^2) is a
         # common zero, corresponding to y = 1/x^3
+        # the two tall points (witness entries near 4e18) pin a run time
+        # that stays bounded as the coefficients grow
         _, _, _, _, forms = pipeline["b_zero"]
-        for pt in ({"c": 1, "e": 1}, {"c": 2, "e": -3}, {"c": -5, "e": 7}):
+        for pt in ({"c": 1, "e": 1}, {"c": 2, "e": -3}, {"c": -5, "e": 7},
+                   {"c": 3, "e": 10 ** 9 + 7},
+                   {"c": 3, "e": Fraction(10 ** 9 + 7, 10 ** 6 + 3)}):
+            start = time.perf_counter()
             res = conic_incompatibility(forms, pt)
+            assert time.perf_counter() - start < 5
             assert res.verdict == "compatible"
             assert res.witness == (1, 0, 4 * pt["e"] ** 2)
             for f in forms:
@@ -237,6 +286,31 @@ class TestConicIncompatibility:
             sp = [f.specialize(pt).as_poly() for f in forms]
             exists, _ = common_projective_zero_exists([f for f in sp if not f.is_zero])
             assert (res.verdict == "incompatible") == (not exists)
+
+    def test_oracle_agreement_random_systems_every_nullity(self):
+        # 2-6 random conics through 0, 1 or 2 random rational points: the
+        # number of conics and of points spreads the kernel dimension of the
+        # coefficient rows over 0, 1, 2 and >= 3
+        rng = random.Random(29)
+        nullities = set()
+        for _ in range(120):
+            points = []
+            count = rng.randint(0, 2)
+            while len(points) < count:
+                p = [rng.randint(-3, 3) for _ in range(3)]
+                if any(p):
+                    points.append(p)
+            conics = [_random_conic(rng, points) for _ in range(rng.randint(2, 6))]
+            res = conic_incompatibility([extract_forms(q)[0] for q in conics], {})
+            exists, why = common_projective_zero_exists(conics)
+            assert res.verdict == ("compatible" if exists else "incompatible"), why
+            if res.witness is not None:
+                k = dict(zip(("K1", "K2", "K3"), res.witness))
+                assert all(q.evaluate(k) == 0 for q in conics)
+            nullity = next(int(line.rsplit(" ", 1)[1]) for line in res.transcript
+                           if line.startswith("rank "))
+            nullities.add(min(nullity, 3))
+        assert nullities == {0, 1, 2, 3}
 
 
 class TestInverseSquareWitness:

@@ -104,6 +104,13 @@ class TestVerify:
         code, _ = run(capsys, "verify-quartic", "--trials", "0")
         assert code == 1
 
+    def test_negative_trials_usage_error(self, capsys):
+        code = main(["verify-quartic", "--trials", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_json_flag_with_path(self, capsys, tmp_path):
         out_path = tmp_path / "cert2.json"
         code, out = run(capsys, "verify-quartic", "--trials", "1",
@@ -149,6 +156,21 @@ class TestSimulate:
         code, _ = run(capsys, "simulate", "--potential", "1", "--init", "1,2,3")
         assert code == 2
 
+    def test_zero_step_usage_error(self, capsys):
+        code = main(["simulate", "--potential", "1 + (x1^4+1)*x2^2",
+                     "--init", "0.5,1,0,0", "--dt", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_short_degree_test_usage_error_writes_no_csv(self, capsys, tmp_path):
+        out_path = tmp_path / "short.csv"
+        code = main(["simulate", "--potential", "1 + (x1^4+1)*x2^2",
+                     "--init", "0.5,1,0,0", "--T", "0.001", "--degree-test", "4",
+                     "--out", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_path.exists()
+
 
 class TestDegreeTest:
     def test_member_passes(self, capsys):
@@ -158,6 +180,18 @@ class TestDegreeTest:
         data = json.loads(out)
         assert data["result"]["pass"] is True
         assert data["result"]["residual"] < 1e-6
+
+    def test_too_short_horizon_usage_error(self, capsys):
+        code = main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2",
+                     "--degree", "4", "--init", "0.4,1.1", "--T", "0.001"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_degree_usage_error(self, capsys):
+        code = main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2",
+                     "--degree", "-1", "--init", "0.4,1.1", "--T", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_nonmember_fails(self, capsys):
         code, _ = run(capsys, "degree-test", "--potential", "x1^2/2 + x1^4*x2^2",
