@@ -22,7 +22,7 @@ So the common zeros are the rank-1 members of W(N), and n = dim N decides:
 
 Every verdict carries a transcript (rank, kernel basis and the quantity
 that decided) that can be re-checked by evaluation without re-running the
-pipeline; a witness is re-verified against every conic.
+pipeline; a witness K is re-verified against every conic as row . v(K) = 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .jets import generate_conditions
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, exact_div, poly_gcd
 from .odes import (BRANCHES, BRANCH_ANCHORS, Branch, NonlinearODE, SolutionBasis,
-                   _residual_parts, ansatz_denominator, branch_system,
+                   _product, _residual_parts, ansatz_denominator, branch_system,
                    center_and_reduce, degeneration_branches, rational_kernel,
                    specialize_quartic, DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
 
@@ -99,26 +99,22 @@ def build_Q(nl: NonlinearODE, basis: SolutionBasis) -> MPoly:
     kernel element y = (K1 N1 + K2 N2 + K3 N3) / (x^p denom^3).
 
     The clearing factor is denom^7, times x^7 when the basis carries an
-    extra x-pole; inexact clearing raises (internal consistency error).
+    extra x-pole.  The factored quotient rule puts the residual over
+    denom^8 (x^8 denom^8), and one exact division by denom (x denom) leaves
+    Q; inexact clearing raises (internal consistency error).
     """
     if basis.dimension != 3:
         raise ValueError("expected a 3-dimensional basis")
     P = MPoly.zero()
     for kname, num in zip(K_VARS, basis.numerators):
         P = P + MPoly.var(kname) * num
-    W = basis.full_denominator()
-    total, big_den = _residual_parts(nl, P, W)
-    # big_den = W^6; target denominator: denom^7 (x^7 denom^7 with a pole)
-    x_extra = 7 if basis.extra_pole_order else 0
-    surplus = exact_div(
-        big_den,
-        (MPoly.var(basis.var, x_extra) if x_extra else MPoly.const(1))
-        * basis.denominator ** 7)
+    factors = basis.factors()
+    total, exponents = _residual_parts(nl, P, factors)
+    surplus = _product([(f, big - 7) for (f, _), big in zip(factors, exponents)])
     try:
-        q = exact_div(total, surplus)
+        return exact_div(total, surplus)
     except ValueError as exc:
         raise AssertionError("substitution did not clear the expected denominator") from exc
-    return q
 
 
 def extract_forms(q: MPoly) -> List[QuadraticForm]:
@@ -251,6 +247,11 @@ def _veronese_row(form: QuadraticForm, point: Dict[str, Fraction]) -> List[Fract
     return [m[0][0].evaluate(point), m[1][1].evaluate(point), m[2][2].evaluate(point),
             2 * m[0][1].evaluate(point), 2 * m[0][2].evaluate(point),
             2 * m[1][2].evaluate(point)]
+
+
+def _veronese(k: Sequence[Fraction]) -> List[Fraction]:
+    """v(K) = (K1^2, K2^2, K3^2, K1K2, K1K3, K2K3)."""
+    return [k[0] ** i * k[1] ** j * k[2] ** l for i, j, l in _QUADRATIC]
 
 
 def _kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
@@ -456,10 +457,11 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0,
             result = conic_incompatibility(forms, point)
             if result.verdict == "compatible" and result.witness is not None:
                 # soundness: the witness must annihilate every conic exactly
+                image = _veronese(result.witness)
                 for f in forms:
-                    if f.specialize(point).value(result.witness) != 0:
+                    if sum(r * v for r, v in zip(_veronese_row(f, point), image)):
                         return fail(f"witness[{branch.name}]",
-                                    "reported witness fails a conic")
+                                    f"reported witness fails conic {f.index}")
             records.append(TrialRecord(point, result.verdict, result.witness,
                                        result.digest))
             if result.verdict == "compatible" and not witness_summary:

@@ -164,8 +164,12 @@ def _cmd_kernel(args) -> int:
     branch = next(b for b in BRANCHES if b.name == _CASE_TO_BRANCH[args.case])
     lb, _ = branch_system(branch, generic_quartic_system())
     denom, pole = ansatz_denominator(lb)
-    basis = rational_kernel(lb, denom, 3, pole, args.degree_bound,
-                            anchor=BRANCH_ANCHORS[branch.name])
+    try:
+        basis = rational_kernel(lb, denom, 3, pole, args.degree_bound,
+                                anchor=BRANCH_ANCHORS[branch.name])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = {"case": args.case,
                "dimension": basis.dimension,
                "denominator": basis.denominator.to_text(),

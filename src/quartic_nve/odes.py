@@ -23,7 +23,7 @@ classical bases together with their degeneration loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -34,6 +34,9 @@ from .mpoly import MPoly, Scalar, det_mpoly, exact_div, poly_gcd
 from .ratfunc import RatFunc
 
 Y_JETS = ("y", "yp", "ypp")
+
+# a denominator prod f^k as its (f, k) pairs
+Factors = Tuple[Tuple[MPoly, int], ...]
 
 
 @dataclass(frozen=True)
@@ -129,14 +132,12 @@ class SolutionBasis:
     def dimension(self) -> int:
         return len(self.numerators)
 
-    def full_denominator(self) -> MPoly:
-        return (MPoly.var(self.var, self.extra_pole_order)
-                if self.extra_pole_order else MPoly.const(1)) \
-            * self.denominator ** self.denominator_exponent
+    def factors(self) -> Factors:
+        return _pole_factors(self.var, self.denominator, self.denominator_exponent,
+                             self.extra_pole_order)
 
-    def elements(self) -> List[RatFunc]:
-        d = self.full_denominator()
-        return [RatFunc(n, d) for n in self.numerators]
+    def full_denominator(self) -> MPoly:
+        return _product(self.factors())
 
     def numerator_wronskian(self) -> MPoly:
         rows = []
@@ -332,22 +333,8 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     unames = [f"p{i}" for i in range(n_unknowns)]
     P = sum((MPoly.var(u) * MPoly.var(x, i) for i, u in enumerate(unames)),
             MPoly.zero())
-    m = ode.order
-    # y^(j) = N_j / (x^(p+j) * denom^(exp+j)) via the quotient rule
-    a_pow, b_pow = extra_pole_order, denom_exponent
-    dd = denom.diff(x)
-    xv = MPoly.var(x)
-    numerators = [P]
-    cur = P
-    for j in range(m):
-        cur = (cur.diff(x) * xv * denom
-               - cur * ((a_pow + j) * denom + (b_pow + j) * xv * dd))
-        numerators.append(cur)
-    residual_num = MPoly.zero()
-    for j in range(m + 1):
-        scale = MPoly.var(x, m - j) * denom ** (m - j) if m - j else MPoly.const(1)
-        residual_num = residual_num + ode.coeffs[j] * numerators[j] * scale
-    rows_by_power = residual_num.collect(x)
+    factors = _pole_factors(x, denom, denom_exponent, extra_pole_order)
+    rows_by_power = _residual_parts(ode, P, factors)[0].collect(x)
     eq_rows = []
     for k in sorted(rows_by_power, reverse=True):
         poly = rows_by_power[k]
@@ -355,10 +342,14 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
                for u in unames]
         eq_rows.append(row)
     kernel, pivots = matrix_kernel(eq_rows, n_unknowns)
+    dim = len(kernel)
+    if anchor is not None and len(anchor) != dim:
+        raise ValueError(f"kernel dimension {dim} with numerator degree bound "
+                         f"{numerator_degree_bound}, but the anchor {tuple(anchor)} "
+                         f"needs {len(anchor)}")
     if not kernel:
         return SolutionBasis(x, denom, denom_exponent, extra_pole_order, (),
                              RatFunc.one(), ())
-    dim = len(kernel)
     if anchor is None:
         anchor = _first_valid_anchor(kernel, n_unknowns, dim)
     else:
@@ -373,24 +364,14 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
         if idx_sign < 0:
             poly = -poly
         nums.append(poly)
-    full_den = (MPoly.var(x, extra_pole_order) if extra_pole_order else MPoly.const(1)) \
-        * denom ** denom_exponent
     for p_num in nums:
-        if not solves(ode, p_num, full_den):
+        if not _residual_parts(ode, p_num, factors)[0].is_zero:
             raise AssertionError("kernel element fails the residual re-check")
-    wron_num = _numerator_wronskian(nums, x)
-    wron = _structured_quotient(wron_num, full_den ** dim, (MPoly.var(x), denom))
-    return SolutionBasis(x, denom, denom_exponent, extra_pole_order,
-                         tuple(nums), wron, anchor)
-
-
-def _numerator_wronskian(nums: Sequence[MPoly], x: str) -> MPoly:
-    rows = []
-    cur = list(nums)
-    for _ in range(len(nums)):
-        rows.append(cur)
-        cur = [p.diff(x) for p in cur]
-    return det_mpoly(rows)
+    basis = SolutionBasis(x, denom, denom_exponent, extra_pole_order,
+                          tuple(nums), RatFunc.one(), anchor)
+    wron = _structured_quotient(basis.numerator_wronskian(),
+                                basis.full_denominator() ** dim, (MPoly.var(x), denom))
+    return replace(basis, wronskian=wron)
 
 
 def _structured_quotient(num: MPoly, den: MPoly,
@@ -514,59 +495,77 @@ def degeneration_branches(basis: SolutionBasis) -> DegenerationReport:
     return DegenerationReport(branches, content.primitive(), complete)
 
 
-def _derivative_numerators(num: MPoly, den: MPoly, x: str, order: int) -> List[MPoly]:
-    """N_j with (num/den)^(j) = N_j / den^(j+1); pure polynomial recurrence."""
-    out = [num]
-    dd = den.diff(x)
-    cur = num
-    for j in range(order):
-        cur = cur.diff(x) * den - (j + 1) * cur * dd
-        out.append(cur)
+def _pole_factors(var: str, denom: MPoly, exponent: int,
+                  extra_pole_order: int = 0) -> Factors:
+    """The denominator x^p * denom^exponent as (factor, exponent) pairs."""
+    head = ((MPoly.var(var), extra_pole_order),) if extra_pole_order else ()
+    return head + ((denom, exponent),)
+
+
+def _product(factors: Factors) -> MPoly:
+    """prod f^k over the (f, k) pairs."""
+    out = MPoly.const(1)
+    for f, k in factors:
+        out = out * f ** k
     return out
 
 
-def _residual_parts(ode: Union[LinearODE, NonlinearODE],
-                    num: MPoly, den: MPoly) -> Tuple[MPoly, MPoly]:
-    """Residual of num/den as an unreduced (numerator, denominator) pair.
+def _jet_numerators(num: MPoly, factors: Factors, x: str, order: int) -> List[MPoly]:
+    """N_0..N_order with (num / prod f^k)^(j) = N_j / prod f^(k+j).
 
-    Avoids rational-function arithmetic entirely, so testing a true solution
-    costs only polynomial products (the numerator comes out identically 0).
+    The quotient rule on the factored denominator, with F = prod f:
+    N_{j+1} = N_j' F - N_j sum_i (k_i + j) f_i' F / f_i.  The sum is
+    L + j F' for L = sum_i k_i f_i' F / f_i, so only polynomial products
+    occur and each step raises every exponent by exactly one.
     """
-    x = ode.var
+    bases = [(f, 1) for f, _ in factors]
+    full = _product(bases)
+    log_part = sum((k * f.diff(x) * _product(bases[:i] + bases[i + 1:])
+                    for i, (f, k) in enumerate(factors)), MPoly.zero())
+    out = [num]
+    for j in range(order):
+        out.append(out[-1].diff(x) * full - out[-1] * (log_part + j * full.diff(x)))
+    return out
+
+
+def _residual_parts(ode: Union[LinearODE, NonlinearODE], num: MPoly,
+                    factors: Factors) -> Tuple[MPoly, Tuple[int, ...]]:
+    """Residual of y = num / prod f_i^k_i as (S, K) with residual = S / prod f_i^K_i.
+
+    The terms are grouped by their monomial prod_j (y^(j))^d_j, whose
+    denominator is prod f_i^(k_i * sum d_j + sum j d_j); K_i is the least
+    exponent that clears f_i from every monomial that actually occurs.
+    Only polynomial products occur, so a true solution gives S identically 0.
+    """
     if isinstance(ode, LinearODE):
-        m = ode.order
-        nums = _derivative_numerators(num, den, x, m)
-        total = MPoly.zero()
-        for j in range(m + 1):
-            if ode.coeffs[j].is_zero:
-                continue
-            total = total + ode.coeffs[j] * nums[j] * den ** (m - j)
-        return total, den ** (m + 1)
-    nums = _derivative_numerators(num, den, x, 2)
-    jet_pos = {v: i for i, v in enumerate(Y_JETS)}
+        groups = {tuple(int(i == j) for i in range(ode.order + 1)): cf
+                  for j, cf in enumerate(ode.coeffs) if not cf.is_zero}
+    else:
+        groups = {(d0, d1, d2): p2
+                  for d0, p0 in ode.poly.collect("y").items()
+                  for d1, p1 in p0.collect("yp").items()
+                  for d2, p2 in p1.collect("ypp").items()}
+    weights = {jets: (sum(jets), sum(j * d for j, d in enumerate(jets))) for jets in groups}
+    K = tuple(max(k * deg + shift for deg, shift in weights.values()) for _, k in factors)
+    nums = _jet_numerators(num, factors, ode.var, max(len(jets) for jets in groups) - 1)
     total = MPoly.zero()
-    for exps, coeff in ode.poly.terms.items():
-        piece = MPoly.const(coeff)
-        den_power = 0
-        for i, v in enumerate(ode.poly.vars):
-            if exps[i] == 0:
-                continue
-            if v in jet_pos:
-                k = jet_pos[v]
-                piece = piece * nums[k] ** exps[i]
-                den_power += (k + 1) * exps[i]
-            else:
-                piece = piece * MPoly.var(v, exps[i])
-        total = total + piece * den ** (6 - den_power)
-    return total, den ** 6
+    for jets, coeff in groups.items():
+        deg, shift = weights[jets]
+        piece = coeff * _product([(f, big - k * deg - shift)
+                                  for (f, k), big in zip(factors, K)])
+        for n_j, d in zip(nums, jets):
+            if d:
+                piece = piece * n_j ** d
+        total = total + piece
+    return total, K
 
 
 def solves(ode: Union[LinearODE, NonlinearODE], num: MPoly, den: MPoly) -> bool:
     """True iff num/den is an exact solution of the equation."""
-    return _residual_parts(ode, num, den)[0].is_zero
+    return _residual_parts(ode, num, ((den, 1),))[0].is_zero
 
 
 def residual(ode: Union[LinearODE, NonlinearODE], candidate: RatFunc) -> RatFunc:
     """Exact residual of a candidate solution; zero iff it solves the equation."""
-    num, den = _residual_parts(ode, candidate.num, candidate.den)
-    return RatFunc(num, den)
+    num, (exponent,) = _residual_parts(ode, candidate.num, ((candidate.den, 1),))
+    return RatFunc(num, candidate.den ** exponent)

@@ -51,14 +51,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
-    def as_mpoly(self) -> MPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num * (1 / self.den.constant_value())
-
     def __bool__(self):
         return not self.is_zero
 

@@ -9,7 +9,8 @@ import pytest
 
 from conic_oracle import common_projective_zero_exists
 from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
-                                 QuadraticForm, THEOREM_CONCLUSION, build_Q,
+                                 IncompatibilityResult, QuadraticForm,
+                                 THEOREM_CONCLUSION, build_Q,
                                  conic_incompatibility, extract_forms,
                                  verify_quartic_theorem)
 from quartic_nve.jets import generate_conditions
@@ -71,45 +72,50 @@ class TestBuildQ:
     def test_evaluation_oracle(self, pipeline):
         # independent route: evaluate the quadratic equation at the rational
         # solution numerically (exact fractions) and compare with Q
-        lb, nb, basis, q, _ = pipeline["generic"]
-        rng = random.Random(4)
-        for _ in range(5):
-            pt = {"b": Fraction(rng.randint(1, 6)), "c": Fraction(rng.randint(1, 6)),
-                  "e": Fraction(rng.randint(1, 6))}
-            ks = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-            xv = Fraction(rng.randint(2, 9))
-            den = basis.full_denominator()
-            num = sum((k * n for k, n in zip(ks, basis.numerators)), MPoly.zero())
-            point = dict(pt)
-            point["x"] = xv
+        for name in ("generic", "b_zero", "c_zero"):
+            lb, nb, basis, q, _ = pipeline[name]
+            rng = random.Random(4)
+            for _ in range(5):
+                pt = {"b": Fraction(rng.randint(1, 6)), "c": Fraction(rng.randint(1, 6)),
+                      "e": Fraction(rng.randint(1, 6))}
+                ks = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
+                xv = Fraction(rng.randint(2, 9))
+                den = basis.full_denominator()
+                num = sum((k * n for k, n in zip(ks, basis.numerators)), MPoly.zero())
+                point = dict(pt)
+                point["x"] = xv
 
-            def ev(p, shift=0):
-                # evaluate d^shift/dx^shift of num/den at the rational point
-                n_, d_ = num, den
-                for _ in range(shift):
-                    n_, d_ = (n_.diff("x") * d_ - n_ * d_.diff("x")), d_ * d_
-                return n_.evaluate(point) / d_.evaluate(point)
+                def ev(p, shift=0):
+                    # evaluate d^shift/dx^shift of num/den at the rational point
+                    n_, d_ = num, den
+                    for _ in range(shift):
+                        n_, d_ = (n_.diff("x") * d_ - n_ * d_.diff("x")), d_ * d_
+                    return n_.evaluate(point) / d_.evaluate(point)
 
-            y0, y1, y2 = ev(num), ev(num, 1), ev(num, 2)
-            nl_val = Fraction(0)
-            for exps, coeff in nb.poly.terms.items():
-                val = coeff
-                for i, v in enumerate(nb.poly.vars):
-                    if exps[i] == 0:
-                        continue
-                    if v == "y":
-                        val *= y0 ** exps[i]
-                    elif v == "yp":
-                        val *= y1 ** exps[i]
-                    elif v == "ypp":
-                        val *= y2 ** exps[i]
-                    else:
-                        val *= point[v] ** exps[i]
-                nl_val += val
-            clear = basis.denominator.evaluate(point) ** 7
-            qpt = dict(point)
-            qpt.update({"K1": ks[0], "K2": ks[1], "K3": ks[2]})
-            assert q.evaluate(qpt) == nl_val * clear
+                y0, y1, y2 = ev(num), ev(num, 1), ev(num, 2)
+                nl_val = Fraction(0)
+                for exps, coeff in nb.poly.terms.items():
+                    val = coeff
+                    for i, v in enumerate(nb.poly.vars):
+                        if exps[i] == 0:
+                            continue
+                        if v == "y":
+                            val *= y0 ** exps[i]
+                        elif v == "yp":
+                            val *= y1 ** exps[i]
+                        elif v == "ypp":
+                            val *= y2 ** exps[i]
+                        else:
+                            val *= point[v] ** exps[i]
+                    nl_val += val
+                # clearing factor denom^7, times x^7 on the branch with an x-pole
+                clear = basis.denominator.evaluate(point) ** 7
+                if name == "b_zero":
+                    assert basis.extra_pole_order == 3
+                    clear *= xv ** 7
+                qpt = dict(point)
+                qpt.update({"K1": ks[0], "K2": ks[1], "K3": ks[2]})
+                assert q.evaluate(qpt) == nl_val * clear
 
     def test_inexact_clearing_detected(self, pipeline):
         # a basis claiming a pole its numerators do not support leaves an
@@ -401,6 +407,25 @@ class TestVerifyQuarticTheorem:
         assert cert.status == "fail"
         assert cert.failing_stage.startswith("q-structure")
         assert not cert.matches_theorem
+
+    def test_wrong_witness_detected(self, monkeypatch):
+        # a b = 0 decision that reports a wrong witness must fail the
+        # certificate at the witness re-check, not pass into the conclusion
+        import quartic_nve.certify as certify
+        honest = certify.conic_incompatibility
+
+        def lying(forms, specialization):
+            result = honest(forms, specialization)
+            if "b" in specialization:
+                return result
+            wrong = (Fraction(1), Fraction(0), 4 * specialization["e"] ** 2 + 1)
+            return IncompatibilityResult("compatible", wrong, "wrong witness",
+                                         result.transcript)
+
+        monkeypatch.setattr(certify, "conic_incompatibility", lying)
+        cert = verify_quartic_theorem(trials=1, seed=0)
+        assert cert.status == "fail"
+        assert cert.failing_stage == "witness[b_zero]"
 
     def test_json_round_trip(self):
         cert = verify_quartic_theorem(trials=1, seed=2)

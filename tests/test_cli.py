@@ -86,6 +86,15 @@ class TestKernel:
         assert data["result"]["dimension"] == dim
         assert len(data["result"]["numerators"]) == dim
 
+    @pytest.mark.parametrize("bound,dim", [("2", 0), ("4", 1), ("5", 2)])
+    def test_degree_bound_too_small_usage_error(self, capsys, bound, dim):
+        code = main(["kernel", "--case", "generic", "--degree-bound", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert f"kernel dimension {dim}" in captured.err
+        assert captured.out == ""
+
 
 class TestVerify:
     def test_honest_run_exits_nonzero(self, capsys, tmp_path):
@@ -110,6 +119,15 @@ class TestVerify:
         assert code == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    def test_degree_bound_too_small_fails_at_kernel(self, capsys):
+        code, out = run(capsys, "verify-quartic", "--trials", "1",
+                        "--degree-bound", "4", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "fail"
+        assert data["stage"] == "kernel[generic]"
+        assert "kernel dimension 1" in data["result"]["conclusion"]
 
     def test_json_flag_with_path(self, capsys, tmp_path):
         out_path = tmp_path / "cert2.json"

@@ -8,7 +8,8 @@ import pytest
 from quartic_nve.jets import generate_conditions
 from quartic_nve.mpoly import MPoly, poly_gcd
 from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, LinearODE, NonlinearODE,
-                              SolutionBasis, ansatz_denominator, branch_system,
+                              SolutionBasis, _jet_numerators, _product,
+                              ansatz_denominator, branch_system,
                               center_and_reduce, degeneration_branches,
                               generic_quartic_system, rational_kernel, residual,
                               shift_alpha, solves, specialize_quartic,
@@ -245,11 +246,41 @@ class TestRationalKernel:
         with pytest.raises(ValueError):
             rational_kernel(lb, denom, 3, pole, 8, anchor=(0, 1, 2))
 
+    def test_degree_bound_below_kernel_rejected(self, branch_bases):
+        # bound 4 leaves one kernel vector for a three-entry anchor
+        lb, _, _ = branch_bases["b_zero"]
+        denom, pole = ansatz_denominator(lb)
+        with pytest.raises(ValueError, match="kernel dimension 1"):
+            rational_kernel(lb, denom, 3, pole, 4, anchor=BRANCH_ANCHORS["b_zero"])
+
     def test_empty_kernel_reported(self):
         # y' + y = 0 has no rational solutions: empty basis, not an error
         ode = LinearODE("x", (MPoly.const(1), MPoly.const(1)))
         basis = rational_kernel(ode, MPoly.const(1), 1, 0, 6)
         assert basis.dimension == 0
+
+
+class TestJetNumerators:
+    @staticmethod
+    def _random_poly(rng, degree):
+        return x ** degree + sum((rng.randint(-3, 3) * x ** i for i in range(degree)),
+                                 MPoly.zero())
+
+    def test_matches_iterated_quotient_rule(self):
+        # y^(j) = N_j / prod f^(k+j) for each factor shape the pipeline uses
+        rng = random.Random(23)
+        for _ in range(3):
+            num = self._random_poly(rng, 3)
+            den = self._random_poly(rng, 2)
+            D = self._random_poly(rng, 3)
+            for factors in (((den, 1),), ((D, 3),), ((x, 3), (D, 3))):
+                nums = _jet_numerators(num, factors, "x", 3)
+                assert len(nums) == 4
+                y = RatFunc(num, _product(factors))
+                for j, n_j in enumerate(nums):
+                    shifted = tuple((f, k + j) for f, k in factors)
+                    assert RatFunc(n_j, _product(shifted)) == y, (factors, j)
+                    y = y.diff("x")
 
 
 class TestDegeneration:
