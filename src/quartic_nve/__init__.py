@@ -4,7 +4,6 @@ incompatibility certificates and a numeric validation layer."""
 
 from .mpoly import MPoly, Rational, poly_diff, poly_gcd, resultant
 from .ratfunc import RatFunc
-from .linsolve import solve_parametric_linear, determinant
 from .jets import (EnkTable, DiffCondition, enk_table, generate_conditions,
                    lie_derivative, pullback_condition)
 from .odes import (Branch, LinearODE, NonlinearODE, SolutionBasis,

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .certify import verify_quartic_theorem

@@ -103,6 +103,27 @@ def _as_numeric(pot: Union[Potential, NumericPotential]) -> NumericPotential:
     return NumericPotential.from_potential(pot)
 
 
+def _hamilton_rhs(npot: NumericPotential) -> Callable[[np.ndarray], np.ndarray]:
+    """Hamilton's equations on the state (x1, y1, x2, y2)."""
+    f1, f2 = npot.dv_dx1, npot.dv_dx2
+
+    def rhs(s):
+        x1, y1, x2, y2 = s
+        return np.array([y1, -f1(x1, x2), y2, -f2(x1, x2)])
+
+    return rhs
+
+
+def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
+              dt: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of s' = rhs(s)."""
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * dt * k1)
+    k3 = rhs(s + 0.5 * dt * k2)
+    k4 = rhs(s + dt * k3)
+    return s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def integrate_hamilton(pot: Union[Potential, NumericPotential],
                        init: Sequence[float], dt: float, horizon: float) -> Trajectory:
     """Classical fixed-step RK4 integration of Hamilton's equations.
@@ -115,12 +136,7 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
         raise ValueError("dt and horizon must be positive")
     npot = _as_numeric(pot)
     n = int(round(horizon / dt))
-    f1, f2 = npot.dv_dx1, npot.dv_dx2
-
-    def rhs4(s):
-        x1, y1, x2, y2 = s
-        return np.array([y1, -f1(x1, x2), y2, -f2(x1, x2)])
-
+    rhs = _hamilton_rhs(npot)
     state = np.array([float(v) for v in init], dtype=float)
     if state.shape != (4,):
         raise ValueError("initial state must be (x1, y1, x2, y2)")
@@ -128,11 +144,7 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
     states[0] = state
     diverged = False
     for i in range(n):
-        k1 = rhs4(state)
-        k2 = rhs4(state + 0.5 * dt * k1)
-        k3 = rhs4(state + 0.5 * dt * k2)
-        k4 = rhs4(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = _rk4_step(rhs, state, dt)
         states[i + 1] = state
         if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > DIVERGENCE_LIMIT:
             diverged = True
@@ -193,6 +205,13 @@ def variational_consistency(pot: Union[Potential, NumericPotential],
     Integrates (i) the full system from the plane point displaced by
     (0, 0, delta, 0) and (ii) xi'' = alpha(x1(t)) xi with xi(0) = delta
     along the unperturbed plane trajectory; returns max |x2 - xi| / delta.
+
+    With a cubic term beta*x2^3 the deviation is first order in delta.
+    With beta = 0 the transverse force is exactly linear in x2, and the
+    deviation comes only from the O(delta^2) back-reaction on x1, so it is
+    second order in delta (err/delta ~ delta^2) and its constant grows with
+    the size of alpha along the orbit; a fixed threshold on it therefore
+    holds only for bounded alpha.
     """
     npot = _as_numeric(pot)
     if not npot.source.v.diff("x2").subs({"x2": 0}).is_zero:
@@ -203,12 +222,9 @@ def variational_consistency(pot: Union[Potential, NumericPotential],
     if delta == 0:
         return 0.0
     n = int(round(horizon / dt))
-    f1, f2 = npot.dv_dx1, npot.dv_dx2
+    rhs_full = _hamilton_rhs(npot)
+    f1 = npot.dv_dx1
     alpha_c = npot.alpha_coeffs
-
-    def rhs_full(s):
-        x1, y1, x2, y2 = s
-        return np.array([y1, -f1(x1, x2), y2, -f2(x1, x2)])
 
     def rhs_nve(s):
         x1, y1, xi, xidot = s
@@ -218,16 +234,7 @@ def variational_consistency(pot: Union[Potential, NumericPotential],
     nve = np.array([x10, y10, delta, 0.0])
     err = 0.0
     for _ in range(n):
-        for rhs, arr in ((rhs_full, "full"), (rhs_nve, "nve")):
-            s = full if arr == "full" else nve
-            k1 = rhs(s)
-            k2 = rhs(s + 0.5 * dt * k1)
-            k3 = rhs(s + 0.5 * dt * k2)
-            k4 = rhs(s + dt * k3)
-            s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if arr == "full":
-                full = s
-            else:
-                nve = s
+        full = _rk4_step(rhs_full, full, dt)
+        nve = _rk4_step(rhs_nve, nve, dt)
         err = max(err, abs(full[2] - nve[2]))
     return err / delta

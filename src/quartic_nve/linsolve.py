@@ -1,52 +1,20 @@
-"""Parametric linear algebra: fraction-free elimination and determinants.
+"""Parametric linear algebra: fraction-free elimination and kernels.
 
-Systems are linear in designated unknowns with coefficients polynomial in
-the remaining parameters.  Elimination is Bareiss-style (division-controlled,
-every division exact), and the pivot polynomials are reported: they are the
+Homogeneous systems have coefficients polynomial in the parameters.
+Elimination is Bareiss-style (division-controlled, every division exact),
+and the kernel basis comes out of back-substitution in reduced echelon form
+with respect to the free columns, so the caller chooses that normal form by
+ordering the columns.  The pivot polynomials are reported: they are the
 parameter conditions under which the generic solution degenerates.
+Determinants live in `mpoly.det_mpoly`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .mpoly import MPoly, det_mpoly, exact_div
+from .mpoly import MPoly, exact_div
 from .ratfunc import RatFunc
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Outcome of solving a parametric linear system.
-
-    status is one of "unique", "parametric", "inconsistent".  For solvable
-    systems, `particular` maps each unknown to its generic value and `kernel`
-    lists a basis of homogeneous solutions (empty when unique).  The
-    `degenerations` are the primitive pivot polynomials: parameter loci where
-    the generic pivot choice breaks down.
-    """
-
-    status: str
-    particular: Optional[Dict[str, RatFunc]]
-    kernel: List[Dict[str, RatFunc]]
-    free: List[str]
-    degenerations: List[MPoly] = field(default_factory=list)
-
-
-def _split_equation(eq: MPoly, unknowns: Sequence[str]) -> Tuple[List[MPoly], MPoly]:
-    """eq == 0 rewritten as sum coeff_i * u_i + constant == 0."""
-    unknown_set = set(unknowns)
-    coeffs = []
-    for u in unknowns:
-        by = eq.collect(u)
-        if any(k > 1 for k in by):
-            raise ValueError(f"equation is not linear in {u}")
-        cu = by.get(1, MPoly.zero())
-        if any(v in unknown_set for v in cu.vars):
-            raise ValueError("equation has cross terms in the unknowns")
-        coeffs.append(cu)
-    const = eq.subs({u: 0 for u in unknowns if u in eq.vars})
-    return coeffs, const
 
 
 def _forward_eliminate(rows: List[List[MPoly]]):
@@ -86,57 +54,6 @@ def _forward_eliminate(rows: List[List[MPoly]]):
     return a, pivots, pivot_polys
 
 
-def solve_parametric_linear(equations: Sequence[MPoly],
-                            unknowns: Sequence[str]) -> LinearSolution:
-    """Solve equations == 0, linear in `unknowns`, over the parameter field.
-
-    Example: {e*u + v, v - c} in (u, v) has the unique generic solution
-    u = -c/e, v = c, degenerating when the pivot e vanishes.
-    """
-    unknowns = list(unknowns)
-    rows = []
-    for eq in equations:
-        coeffs, const = _split_equation(eq, unknowns)
-        if all(c.is_zero for c in coeffs) and const.is_zero:
-            continue
-        rows.append(coeffs + [const])
-    if not rows:
-        return LinearSolution("parametric", {u: RatFunc.zero() for u in unknowns},
-                              [{v: RatFunc(1 if v == u else 0) for v in unknowns}
-                               for u in unknowns],
-                              list(unknowns), [])
-    ech, pivots, pivot_polys = _forward_eliminate(rows)
-    n = len(unknowns)
-    for (r, c) in pivots:
-        if c == n:
-            return LinearSolution("inconsistent", None, [], [], _dedupe(pivot_polys))
-    # rows beyond the pivot rows must be identically zero
-    for i in range(len(pivots), len(ech)):
-        if any(not v.is_zero for v in ech[i]):
-            return LinearSolution("inconsistent", None, [], [], _dedupe(pivot_polys))
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [j for j in range(n) if j not in pivot_cols]
-
-    def back_substitute(rhs_of_free: Dict[int, RatFunc], const_scale: int) -> Dict[str, RatFunc]:
-        vals: Dict[int, RatFunc] = {j: rhs_of_free.get(j, RatFunc.zero()) for j in free_cols}
-        for (r, c) in reversed(pivots):
-            acc = RatFunc(ech[r][n]) * const_scale
-            for j in range(c + 1, n):
-                if not ech[r][j].is_zero:
-                    acc = acc + RatFunc(ech[r][j]) * vals[j]
-            vals[c] = (-acc) / RatFunc(ech[r][c])
-        return {unknowns[j]: vals[j] for j in range(n)}
-
-    particular = back_substitute({}, 1)
-    kernel = []
-    for f in free_cols:
-        vec = back_substitute({f: RatFunc.one()}, 0)
-        kernel.append(vec)
-    status = "unique" if not free_cols else "parametric"
-    return LinearSolution(status, particular, kernel,
-                          [unknowns[j] for j in free_cols], _dedupe(pivot_polys))
-
-
 def _dedupe(polys: Sequence[MPoly]) -> List[MPoly]:
     seen = []
     for p in polys:
@@ -172,39 +89,3 @@ def matrix_kernel(rows: Sequence[Sequence[MPoly]], ncols: int):
             vals[c] = (-acc) / RatFunc(ech[r][c])
         basis.append([vals[j] for j in range(ncols)])
     return basis, _dedupe(pivot_polys)
-
-
-def determinant(matrix: Sequence[Sequence[RatFunc]]) -> RatFunc:
-    """Exact determinant of a square RatFunc matrix.
-
-    Cofactor expansion for n <= 3 (the Wronskian case), ordinary Gaussian
-    elimination over the function field otherwise.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    m = [[RatFunc._coerce(v) for v in row] for row in matrix]
-    if n == 0:
-        return RatFunc.one()
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    det = RatFunc.one()
-    for k in range(n):
-        sel = next((i for i in range(k, n) if not m[i][k].is_zero), None)
-        if sel is None:
-            return RatFunc.zero()
-        if sel != k:
-            m[k], m[sel] = m[sel], m[k]
-            det = -det
-        det = det * m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] = m[i][j] - factor * m[k][j]
-    return det

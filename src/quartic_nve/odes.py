@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet
-from .linsolve import determinant, matrix_kernel
+from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, det_mpoly, exact_div, poly_gcd
 from .ratfunc import RatFunc
 
@@ -60,9 +59,6 @@ class LinearODE:
         scale = _joint_primitive_scale(self.coeffs)
         return LinearODE(self.var, tuple(cf * scale for cf in self.coeffs))
 
-    def specialize(self, values: Dict[str, Scalar]) -> "LinearODE":
-        return LinearODE(self.var, tuple(cf.subs(values) for cf in self.coeffs))
-
     def to_text(self) -> str:
         parts = []
         for j in range(self.order, -1, -1):
@@ -91,9 +87,6 @@ class NonlinearODE:
     def normalized(self) -> "NonlinearODE":
         scale = _joint_primitive_scale([self.poly])
         return NonlinearODE(self.var, self.poly * scale)
-
-    def specialize(self, values: Dict[str, Scalar]) -> "NonlinearODE":
-        return NonlinearODE(self.var, self.poly.subs(values))
 
     def to_text(self) -> str:
         return self.poly.to_text().replace("ypp", "y''").replace("yp", "y'") + " = 0"
@@ -321,12 +314,17 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
                     anchor: Optional[Tuple[int, ...]] = None) -> SolutionBasis:
     """Rational solutions y = P(x) / (x^p * denom^exponent), deg P bounded.
 
-    The ansatz system is solved by fraction-free elimination over the
-    parameter ring; the kernel is normalised to reduced echelon form with
-    respect to `anchor` (numerator coefficient positions), defaulting to the
-    lexicographically first valid triple.  Every returned numerator is an
-    integer-primitive polynomial whose anchor coordinate has positive sign,
-    and its residual in the equation is re-checked to be identically zero.
+    The ansatz system is solved by one fraction-free elimination over the
+    parameter ring, whose back-substitution returns the kernel in reduced
+    echelon form with respect to its free columns.  The columns are ordered
+    non-anchor first (ascending), then `anchor` (numerator coefficient
+    positions), so a valid anchor becomes exactly the free columns; an
+    anchor that does not is singular on the kernel and is rejected.  With
+    `anchor=None` the columns are eliminated in reversed order, which makes
+    the free columns the lexicographically first valid anchor.  Every
+    returned numerator is an integer-primitive polynomial whose anchor
+    coordinate has positive sign, and its residual in the equation is
+    re-checked to be identically zero.
     """
     x = ode.var
     n_unknowns = numerator_degree_bound + 1
@@ -341,27 +339,34 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
         row = [poly.coefficient(u, 1).subs({w: 0 for w in unames if w in poly.vars})
                for u in unames]
         eq_rows.append(row)
-    kernel, pivots = matrix_kernel(eq_rows, n_unknowns)
+    if anchor is None:
+        order = list(range(n_unknowns - 1, -1, -1))
+    else:
+        anchor = tuple(anchor)
+        order = ([i for i in range(n_unknowns) if i not in anchor]
+                 + [i for i in dict.fromkeys(anchor) if i < n_unknowns])
+    kernel, _ = matrix_kernel([[row[i] for i in order] for row in eq_rows], n_unknowns)
     dim = len(kernel)
     if anchor is not None and len(anchor) != dim:
         raise ValueError(f"kernel dimension {dim} with numerator degree bound "
-                         f"{numerator_degree_bound}, but the anchor {tuple(anchor)} "
+                         f"{numerator_degree_bound}, but the anchor {anchor} "
                          f"needs {len(anchor)}")
     if not kernel:
         return SolutionBasis(x, denom, denom_exponent, extra_pole_order, (),
                              RatFunc.one(), ())
+    # the vector of free column f is 1 at f and 0 beyond it, so its last
+    # nonzero entry names f; free == anchor iff the anchor block is the identity
+    free = tuple(order[max(k for k, v in enumerate(vec) if not v.is_zero)]
+                 for vec in kernel)
     if anchor is None:
-        anchor = _first_valid_anchor(kernel, n_unknowns, dim)
-    else:
-        anchor = tuple(anchor)
-        if _anchor_matrix_det(kernel, anchor).is_zero:
-            raise ValueError(f"anchor {anchor} is not valid for this kernel")
-    basis_vectors = _anchored_basis(kernel, anchor)
+        anchor, kernel = free[::-1], kernel[::-1]
+    elif free != anchor:
+        raise ValueError(f"anchor {anchor} is not valid for this kernel")
+    position = {col: k for k, col in enumerate(order)}
     nums = []
-    for vec in basis_vectors:
-        poly = _clear_vector(vec, x)
-        idx_sign = poly.coefficient(x, anchor[len(nums)]).leading()[1]
-        if idx_sign < 0:
+    for vec, col in zip(kernel, anchor):
+        poly = _clear_vector([vec[position[i]] for i in range(n_unknowns)], x)
+        if poly.coefficient(x, col).leading()[1] < 0:
             poly = -poly
         nums.append(poly)
     for p_num in nums:
@@ -392,53 +397,6 @@ def _structured_quotient(num: MPoly, den: MPoly,
             num, den = n2, d2
             changed = True
     return RatFunc(num, den)
-
-
-def _anchor_matrix_det(kernel, anchor) -> RatFunc:
-    mat = [[kernel[j][t] for j in range(len(kernel))] for t in anchor]
-    return determinant(mat)
-
-
-def _first_valid_anchor(kernel, ncols: int, dim: int) -> Tuple[int, ...]:
-    for cand in combinations(range(ncols), dim):
-        if not _anchor_matrix_det(kernel, cand).is_zero:
-            return cand
-    raise AssertionError("no valid anchor triple exists")
-
-
-def _anchored_basis(kernel, anchor):
-    """Change basis so coordinate `anchor[i]` of vector i is 1, others 0."""
-    dim = len(kernel)
-    mat = [[kernel[j][t] for j in range(dim)] for t in anchor]
-    inv = _invert_ratfunc_matrix(mat)
-    out = []
-    for col in range(dim):
-        vec = []
-        for coord in range(len(kernel[0])):
-            acc = RatFunc.zero()
-            for j in range(dim):
-                acc = acc + kernel[j][coord] * inv[j][col]
-            vec.append(acc)
-        out.append(vec)
-    return out
-
-
-def _invert_ratfunc_matrix(mat):
-    n = len(mat)
-    aug = [[mat[i][j] for j in range(n)] + [RatFunc(1 if k == i else 0) for k in range(n)]
-           for i in range(n)]
-    for k in range(n):
-        sel = next((i for i in range(k, n) if not aug[i][k].is_zero), None)
-        if sel is None:
-            raise ValueError("singular matrix")
-        aug[k], aug[sel] = aug[sel], aug[k]
-        piv = aug[k][k]
-        aug[k] = [v / piv for v in aug[k]]
-        for i in range(n):
-            if i != k and not aug[i][k].is_zero:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
 
 
 def _clear_vector(vec: Sequence[RatFunc], x: str) -> MPoly:

@@ -29,6 +29,20 @@ class TestIntegration:
         traj = integrate_hamilton(numeric("x1^2/2"), (1.0, 0.0, 0.0, 0.0), 1e-3, 1.0)
         assert abs(traj.states[-1, 0] - math.cos(1.0)) < 1e-8
 
+    def test_rk4_stability_polynomial(self):
+        # on x1^2/2 one RK4 step is the matrix R(z) = 1 + z + z^2/2 + z^3/6
+        # + z^4/24 at z = dt*A, A the generator of s' = (y1, -x1, y2, 0); the
+        # exact flow (cos t, -sin t) is 7e-10 away, so the bound pins the scheme
+        dt, steps = 1e-2, 1000
+        A = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        z = dt * A
+        R = np.eye(4) + z + z @ z / 2 + z @ z @ z / 6 + z @ z @ z @ z / 24
+        init = np.array([1.0, 0.0, 0.0, 0.0])
+        traj = integrate_hamilton(numeric("x1^2/2"), init, dt, steps * dt)
+        expected = np.linalg.matrix_power(R, steps) @ init
+        assert np.max(np.abs(traj.states[-1] - expected)) < 1e-12
+
     def test_plane_invariance(self):
         traj = integrate_hamilton(numeric("x1^2/2 + (x1^4+1)*x2^2"),
                                   (0.3, 1.1, 0.0, 0.0), 1e-3, 10.0)
@@ -155,6 +169,20 @@ class TestVariationalConsistency:
         e1 = variational_consistency(pot, (0.5, 1.0, 0.0, 0.0), delta=1e-5)
         e2 = variational_consistency(pot, (0.5, 1.0, 0.0, 0.0), delta=5e-6)
         assert 3.4 <= e1 / e2 <= 4.6
+
+    def test_large_alpha_deviation_is_second_order(self):
+        # alpha reaches ~265 along this orbit, so with beta = 0 the deviation
+        # at delta = 1e-6 is 7.0e-3; it is still second order in delta and
+        # independent of dt, i.e. neither integration error nor a defect
+        pot = numeric("3 + (-3 + 3*x1 - 3*x1^2 - 2*x1^3 - 2*x1^4)*x2^2")
+        init = (1.197, 1.353, 0.0, 0.0)
+        traj = integrate_hamilton(pot, init, 1e-3, 1.0)
+        assert np.max(np.abs(nve_coefficient_samples(traj, pot))) > 250
+        e1 = variational_consistency(pot, init, delta=1e-6)
+        e2 = variational_consistency(pot, init, delta=5e-7)
+        assert 3.4 <= e1 / e2 <= 4.6
+        for dt in (5e-4, 2.5e-4):
+            assert abs(variational_consistency(pot, init, delta=1e-6, dt=dt) - e1) < 1e-9
 
     def test_off_plane_rejected(self):
         with pytest.raises(ValueError):

@@ -1,44 +1,7 @@
-"""Parametric linear solving: generic solutions, kernels, degenerations."""
+"""Parametric linear algebra: kernels of fraction-free eliminations."""
 
-import pytest
-
-from quartic_nve.linsolve import matrix_kernel, solve_parametric_linear
+from quartic_nve.linsolve import matrix_kernel
 from quartic_nve.mpoly import MPoly
-from quartic_nve.ratfunc import RatFunc
-
-u = MPoly.var("u")
-v = MPoly.var("v")
-c = MPoly.var("c")
-e = MPoly.var("e")
-
-
-def test_unique_solution_with_degeneration():
-    sol = solve_parametric_linear([e * u + v, v - c], ["u", "v"])
-    assert sol.status == "unique"
-    assert sol.particular["u"] == RatFunc(-c, e)
-    assert sol.particular["v"] == RatFunc(c)
-    assert [d.to_text() for d in sol.degenerations] == ["e"]
-
-
-def test_inconsistent():
-    sol = solve_parametric_linear([u + v, u + v - 1], ["u", "v"])
-    assert sol.status == "inconsistent"
-
-
-def test_parametric_family():
-    sol = solve_parametric_linear([u + v], ["u", "v"])
-    assert sol.status == "parametric"
-    assert sol.free == ["v"]
-    assert len(sol.kernel) == 1
-    vec = sol.kernel[0]
-    assert vec["u"] == RatFunc(-1) and vec["v"] == RatFunc(1)
-
-
-def test_nonlinear_rejected():
-    with pytest.raises(ValueError):
-        solve_parametric_linear([u * u + v], ["u", "v"])
-    with pytest.raises(ValueError):
-        solve_parametric_linear([u * v - 1], ["u", "v"])
 
 
 def test_ansatz_kernel_dimension_matches_constant_count():
@@ -63,10 +26,15 @@ def test_ansatz_kernel_dimension_matches_constant_count():
     for j in range(4):
         scale = MPoly.var("x", 3 - j) * denom ** (3 - j) if j < 3 else MPoly.const(1)
         residual = residual + l2.coeffs[j] * nums[j] * scale
-    eqs = list(residual.collect("x").values())
-    sol = solve_parametric_linear(eqs, unknowns)
-    assert sol.status == "parametric"
-    assert len(sol.free) == 3
+    rows = []
+    for eq in residual.collect("x").values():
+        row = [eq.coefficient(name, 1) for name in unknowns]
+        # each equation is linear and homogeneous in the unknowns
+        assert eq == sum((cf * MPoly.var(name) for cf, name in zip(row, unknowns)),
+                         MPoly.zero())
+        rows.append(row)
+    basis, _ = matrix_kernel(rows, len(unknowns))
+    assert len(basis) == 3
 
 
 def test_matrix_kernel_trivial():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quartic_nve.mpoly import (MPoly, det_mpoly, exact_div, poly_diff,
                                poly_gcd, resultant)
 from quartic_nve.ratfunc import RatFunc
-from quartic_nve.linsolve import determinant
 
 x = MPoly.var("x")
 b = MPoly.var("b")
@@ -81,16 +80,17 @@ class TestGcd:
 
 class TestDeterminant:
     def test_one_by_one(self):
-        assert determinant([[RatFunc(1)]]) == RatFunc(1)
+        assert det_mpoly([[MPoly.const(1)]]) == MPoly.const(1)
 
     def test_triangular(self):
-        m = [[RatFunc(1), RatFunc(x)], [RatFunc(0), RatFunc(1)]]
-        assert determinant(m) == RatFunc(1)
+        assert det_mpoly([[MPoly.const(1), x], [MPoly.zero(), MPoly.const(1)]]) == MPoly.const(1)
+        # a zero pivot is swapped away, which flips the sign
+        assert det_mpoly([[MPoly.zero(), MPoly.const(1)], [MPoly.const(1), x]]) == MPoly.const(-1)
 
     def test_classic_wronskian(self):
-        rows = [[1, x, x ** 2], [0, MPoly.const(1), 2 * x], [0, MPoly.zero(), MPoly.const(2)]]
-        m = [[RatFunc(v) for v in row] for row in rows]
-        assert determinant(m) == RatFunc(2)
+        rows = [[MPoly.const(1), x, x ** 2], [MPoly.zero(), MPoly.const(1), 2 * x],
+                [MPoly.zero(), MPoly.zero(), MPoly.const(2)]]
+        assert det_mpoly(rows) == MPoly.const(2)
 
     def test_matches_evaluation(self):
         # substituting rational values before vs after the determinant
@@ -107,7 +107,7 @@ class TestDeterminant:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            determinant([[RatFunc(1), RatFunc(2)]])
+            det_mpoly([[MPoly.const(1), MPoly.const(2)]])
 
 
 class TestResultant:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -245,6 +246,41 @@ class TestRationalKernel:
         denom, pole = ansatz_denominator(lb)
         with pytest.raises(ValueError):
             rational_kernel(lb, denom, 3, pole, 8, anchor=(0, 1, 2))
+
+    def test_anchor_semantics(self, branch_bases):
+        # anchor=None picks the lexicographically first valid anchor, and a
+        # valid anchor gives the reduced echelon basis on its coordinates
+        lb = {name: branch_bases[name][0] for name in FROZEN_BASES}
+        pole_data = {name: ansatz_denominator(lb[name]) for name in FROZEN_BASES}
+
+        def kernel(name, bound=8, anchor=None):
+            denom, pole = pole_data[name]
+            return rational_kernel(lb[name], denom, 3, pole, bound, anchor=anchor)
+
+        for name, bound, expected in (("generic", 8, (0, 1, 2)), ("b_zero", 8, (0, 3, 4)),
+                                      ("c_zero", 8, (0, 1, 2)), ("generic", 6, (0, 1, 2)),
+                                      ("generic", 7, (0, 1, 2))):
+            assert kernel(name, bound).anchor == expected, (name, bound)
+        earlier = [t for t in combinations(range(9), 3) if t < (0, 3, 4)]
+        assert len(earlier) == 13
+        for triple in earlier:
+            with pytest.raises(ValueError, match="not valid"):
+                kernel("b_zero", anchor=triple)
+        for last in range(2, 7):
+            basis = kernel("generic", anchor=(0, 1, last))
+            assert basis.anchor == (0, 1, last)
+            # the anchor block is the identity up to each numerator's
+            # positive scale
+            for i, num in enumerate(basis.numerators):
+                for j, col in enumerate(basis.anchor):
+                    coeff = num.coefficient("x", col)
+                    if i == j:
+                        assert coeff.leading()[1] > 0, (last, i)
+                    else:
+                        assert coeff.is_zero, (last, i, j)
+        for last in (7, 8):
+            with pytest.raises(ValueError, match="not valid"):
+                kernel("generic", anchor=(0, 1, last))
 
     def test_degree_bound_below_kernel_rejected(self, branch_bases):
         # bound 4 leaves one kernel vector for a three-entry anchor
