@@ -255,8 +255,14 @@ def _veronese(k: Sequence[Fraction]) -> List[Fraction]:
 
 
 def _kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    basis, _ = matrix_kernel([[MPoly.const(v) for v in r] for r in rows], ncols)
-    return [[v.evaluate({}) for v in w] for w in basis]
+    """Kernel basis in reduced echelon form: each vector is scaled by its
+    last nonzero entry, which sits at its free column."""
+    basis, _ = matrix_kernel(rows, ncols)
+    scaled = []
+    for w in basis:
+        lead = next(v for v in reversed(w) if v)
+        scaled.append([v / lead for v in w])
+    return scaled
 
 
 def _symmetric(w: Sequence) -> Tuple[Tuple, ...]:

@@ -130,16 +130,19 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
 
     Initial data on the invariant plane stays there to machine precision.
     Trajectories whose state magnitude exceeds DIVERGENCE_LIMIT are
-    truncated and flagged.
+    truncated and flagged.  Non-finite dt, horizon or initial data raise
+    ValueError.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
-    npot = _as_numeric(pot)
-    n = int(round(horizon / dt))
-    rhs = _hamilton_rhs(npot)
+    if not (np.isfinite(dt) and np.isfinite(horizon)) or dt <= 0 or horizon <= 0:
+        raise ValueError("dt and horizon must be positive and finite")
     state = np.array([float(v) for v in init], dtype=float)
     if state.shape != (4,):
         raise ValueError("initial state must be (x1, y1, x2, y2)")
+    if not np.all(np.isfinite(state)):
+        raise ValueError("initial state must be finite")
+    npot = _as_numeric(pot)
+    n = int(round(horizon / dt))
+    rhs = _hamilton_rhs(npot)
     states = np.empty((n + 1, 4))
     states[0] = state
     diverged = False

@@ -193,6 +193,15 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "MPoly":
+        """Exact quotient (`exact_div`): raises ValueError if other does not
+        divide self."""
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.const(other)
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return exact_div(self, other)
+
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -360,14 +369,6 @@ def exact_div(p: MPoly, d: MPoly) -> MPoly:
     return MPoly(allvars, quo)
 
 
-def divides(d: MPoly, p: MPoly) -> bool:
-    try:
-        exact_div(p, d)
-        return True
-    except ValueError:
-        return False
-
-
 def poly_diff(p: MPoly, var: str) -> MPoly:
     """Formal partial derivative with respect to a canonical variable."""
     if not isinstance(var, str) or not var:
@@ -412,7 +413,8 @@ def _poly_from_coeffs(coeffs: Sequence[MPoly], var: str) -> MPoly:
     return out
 
 
-def _content_wrt(p: MPoly, var: str) -> MPoly:
+def content_wrt(p: MPoly, var: str) -> MPoly:
+    """Content of p as a polynomial in var: the gcd of its coefficients."""
     coeffs = [c for c in p.collect(var).values() if not c.is_zero]
     g = MPoly.zero()
     for c in coeffs:
@@ -438,9 +440,9 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     if main not in p.vars or main not in q.vars:
         # main variable missing from one input: gcd divides its content
         if main in p.vars:
-            return poly_gcd(_content_wrt(p, main), q)
-        return poly_gcd(p, _content_wrt(q, main))
-    cont_p, cont_q = _content_wrt(p, main), _content_wrt(q, main)
+            return poly_gcd(content_wrt(p, main), q)
+        return poly_gcd(p, content_wrt(q, main))
+    cont_p, cont_q = content_wrt(p, main), content_wrt(q, main)
     cont = poly_gcd(cont_p, cont_q) if not (cont_p.is_constant() and cont_q.is_constant()) else MPoly.const(1)
     f = [exact_div(c, cont_p) for c in _coeff_list(p, main)]
     g = [exact_div(c, cont_q) for c in _coeff_list(q, main)]
@@ -461,7 +463,7 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         s = f[-1]
         h = exact_div(s ** delta, h ** (delta - 1)) if delta > 0 else h
     result = _poly_from_coeffs(g, main)
-    pp = exact_div(result, _content_wrt(result, main))
+    pp = exact_div(result, content_wrt(result, main))
     return (cont * pp).primitive()
 
 

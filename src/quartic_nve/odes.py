@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet
 from .linsolve import matrix_kernel
-from .mpoly import MPoly, Scalar, det_mpoly, exact_div, poly_gcd
+from .mpoly import MPoly, Scalar, content_wrt, det_mpoly, exact_div, poly_gcd
 from .ratfunc import RatFunc
 
 Y_JETS = ("y", "yp", "ypp")
@@ -315,13 +315,15 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     """Rational solutions y = P(x) / (x^p * denom^exponent), deg P bounded.
 
     The ansatz system is solved by one fraction-free elimination over the
-    parameter ring, whose back-substitution returns the kernel in reduced
-    echelon form with respect to its free columns.  The columns are ordered
-    non-anchor first (ascending), then `anchor` (numerator coefficient
-    positions), so a valid anchor becomes exactly the free columns; an
-    anchor that does not is singular on the kernel and is rejected.  With
-    `anchor=None` the columns are eliminated in reversed order, which makes
-    the free columns the lexicographically first valid anchor.  Every
+    parameter ring, whose back-substitution returns polynomial kernel
+    vectors proportional to the reduced echelon form with respect to its
+    free columns; each numerator is divided by its content in the
+    parameters.  The columns are ordered non-anchor first (ascending),
+    then `anchor` (numerator coefficient positions), so a valid anchor
+    becomes exactly the free columns; an anchor that does not is singular
+    on the kernel and is rejected.  With `anchor=None` the columns are
+    eliminated in reversed order, which makes the free columns the
+    lexicographically first valid anchor.  Every
     returned numerator is an integer-primitive polynomial whose anchor
     coordinate has positive sign, and its residual in the equation is
     re-checked to be identically zero.
@@ -354,18 +356,18 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     if not kernel:
         return SolutionBasis(x, denom, denom_exponent, extra_pole_order, (),
                              RatFunc.one(), ())
-    # the vector of free column f is 1 at f and 0 beyond it, so its last
-    # nonzero entry names f; free == anchor iff the anchor block is the identity
-    free = tuple(order[max(k for k, v in enumerate(vec) if not v.is_zero)]
-                 for vec in kernel)
+    # the vector of free column f is D at f and 0 beyond it, so its last
+    # nonzero entry names f; free == anchor iff the anchor block is D times
+    # the identity
+    free = tuple(order[max(k for k, v in enumerate(vec) if v)] for vec in kernel)
     if anchor is None:
         anchor, kernel = free[::-1], kernel[::-1]
     elif free != anchor:
         raise ValueError(f"anchor {anchor} is not valid for this kernel")
-    position = {col: k for k, col in enumerate(order)}
     nums = []
     for vec, col in zip(kernel, anchor):
-        poly = _clear_vector([vec[position[i]] for i in range(n_unknowns)], x)
+        poly = sum((v * MPoly.var(x, i) for v, i in zip(vec, order)), MPoly.zero())
+        poly = (poly / content_wrt(poly, x)).primitive()
         if poly.coefficient(x, col).leading()[1] < 0:
             poly = -poly
         nums.append(poly)
@@ -397,22 +399,6 @@ def _structured_quotient(num: MPoly, den: MPoly,
             num, den = n2, d2
             changed = True
     return RatFunc(num, den)
-
-
-def _clear_vector(vec: Sequence[RatFunc], x: str) -> MPoly:
-    """Vector of numerator coefficients -> primitive polynomial in x."""
-    den = MPoly.const(1)
-    for v in vec:
-        if not v.is_zero:
-            g = poly_gcd(den, v.den)
-            den = exact_div(den * v.den, g)
-    poly = MPoly.zero()
-    for i, v in enumerate(vec):
-        if v.is_zero:
-            continue
-        scaled = v.num * exact_div(den, v.den)
-        poly = poly + (scaled * MPoly.var(x, i) if i else scaled)
-    return poly.primitive()
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,19 @@ class TestSimulate:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
+                                             ("--dt", "nan"), ("--dt", "inf"),
+                                             ("--init", "1,0,0,nan"),
+                                             ("--init", "inf,0,0,0")])
+    def test_non_finite_input_usage_error(self, capsys, flag, value):
+        args = {"--init": "1,0,0,0", "--dt": "1e-3", "--T": "1"}
+        args[flag] = value
+        code = main(["simulate", "--potential", "x1^2+x2^2"]
+                    + [item for pair in args.items() for item in pair])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestDegreeTest:
     def test_member_passes(self, capsys):
         code, out = run(capsys, "degree-test", "--potential", "1 + (x1^4+1)*x2^2",
@@ -215,6 +228,16 @@ class TestDegreeTest:
         code, _ = run(capsys, "degree-test", "--potential", "x1^2/2 + x1^4*x2^2",
                       "--degree", "4", "--init", "0.9,0.7")
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--dt", "nan"),
+                                             ("--init", "nan,1")])
+    def test_non_finite_input_usage_error(self, capsys, flag, value):
+        args = {"--init": "0.4,1.1", "--dt": "1e-3", "--T": "1"}
+        args[flag] = value
+        code = main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2", "--degree", "4"]
+                    + [item for pair in args.items() for item in pair])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_help_schema(capsys):

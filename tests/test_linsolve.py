@@ -1,5 +1,8 @@
 """Parametric linear algebra: kernels of fraction-free eliminations."""
 
+import random
+from fractions import Fraction
+
 from quartic_nve.linsolve import matrix_kernel
 from quartic_nve.mpoly import MPoly
 
@@ -43,3 +46,48 @@ def test_matrix_kernel_trivial():
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] == vec[2] * 1  # u0 = u2 on the kernel
+
+
+def _random_matrix(rng, m, n, rank):
+    """m x n integer matrix of rank <= `rank`, as a product of random factors."""
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(m)]
+    right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    return [[Fraction(sum(left[i][k] * right[k][j] for k in range(rank)))
+             for j in range(n)] for i in range(m)]
+
+
+def test_rational_kernel_matches_sympy_nullspace():
+    # over Q the vectors, each divided by its free-column entry (its last
+    # nonzero entry), are sympy's reduced echelon nullspace, in order
+    import sympy
+    rng = random.Random(20260)
+    ranks = set()
+    for _ in range(100):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        rows = _random_matrix(rng, m, n, rng.randint(0, min(m, n)))
+        basis, _ = matrix_kernel(rows, n)
+        expected = sympy.Matrix(rows).nullspace()
+        ranks.add((n - len(expected), min(m, n)))
+        assert len(basis) == len(expected)
+        for vec, ref in zip(basis, expected):
+            lead = next(v for v in reversed(vec) if v)
+            assert [Fraction(v) / lead for v in vec] == [
+                Fraction(int(e.p), int(e.q)) for e in ref]
+    assert {r for r, _ in ranks} >= {0, 1, 2, 3, 4}
+    assert any(r == full for r, full in ranks if r)
+
+
+def test_polynomial_kernel_stays_in_the_ring():
+    b, c = MPoly.var("b"), MPoly.var("c")
+    r1 = [b, c, MPoly.const(1), b * c, MPoly.zero()]
+    r2 = [c * c, MPoly.const(2), b - c, MPoly.zero(), b]
+    r3 = [b * x + (c - 1) * y for x, y in zip(r1, r2)]
+    r4 = [MPoly.const(1), b + c, c, MPoly.const(3), b * b]
+    for rows in ([r1, r2, r3], [r1, r2, r3, r4], [r3, r1]):
+        basis, pivots = matrix_kernel(rows, 5)
+        assert len(basis) == 5 - len(pivots)
+        for vec in basis:
+            assert all(isinstance(v, MPoly) for v in vec)
+            assert any(vec)
+            for row in rows:
+                assert sum((a * v for a, v in zip(row, vec)), MPoly.zero()).is_zero
