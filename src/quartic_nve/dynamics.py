@@ -10,17 +10,22 @@ as a(t_i) = alpha(x1(t_i)) and its polynomial degree is tested through
 forward differences of a strided subsample (a degree-d series has vanishing
 (d+1)-th differences; the stride keeps cancellation noise above the
 integration error floor but far below any genuine higher-degree signal).
+
+numpy is imported on first use, inside the entry points below (and the
+closures they build capture it), never at module import: the exact layers
+and the CLI import this module, and their commands stay numpy-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 from .mpoly import MPoly
 from .potential import Potential
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIVERGENCE_LIMIT = 1e8
 
@@ -42,6 +47,7 @@ def _compile_bivariate(p: MPoly) -> Callable[[float, float], float]:
 
 
 def _poly1d_coeffs(p: MPoly, var: str = "x1") -> np.ndarray:
+    import numpy as np
     by = p.collect(var)
     deg = max(by) if by else 0
     out = np.zeros(deg + 1)
@@ -57,7 +63,6 @@ class NumericPotential:
     v: Callable[[float, float], float]
     dv_dx1: Callable[[float, float], float]
     dv_dx2: Callable[[float, float], float]
-    phi_coeffs: np.ndarray
     alpha_coeffs: np.ndarray
     source: Potential
 
@@ -66,15 +71,8 @@ class NumericPotential:
         return cls(_compile_bivariate(pot.v),
                    _compile_bivariate(pot.v.diff("x1")),
                    _compile_bivariate(pot.v.diff("x2")),
-                   _poly1d_coeffs(pot.phi),
                    _poly1d_coeffs(pot.alpha),
                    pot)
-
-    def phi(self, x1: float) -> float:
-        return float(np.polyval(self.phi_coeffs, x1))
-
-    def alpha(self, x1: float) -> float:
-        return float(np.polyval(self.alpha_coeffs, x1))
 
     def hamiltonian(self, state) -> float:
         x1, y1, x2, y2 = state
@@ -89,10 +87,12 @@ class Trajectory:
     diverged: bool = False
 
     def energy_drift(self) -> float:
+        import numpy as np
         scale = max(abs(self.energies[0]), 1.0)
         return float(np.max(np.abs(self.energies - self.energies[0])) / scale)
 
     def max_plane_deviation(self) -> float:
+        import numpy as np
         return float(max(np.max(np.abs(self.states[:, 2])),
                          np.max(np.abs(self.states[:, 3]))))
 
@@ -105,6 +105,7 @@ def _as_numeric(pot: Union[Potential, NumericPotential]) -> NumericPotential:
 
 def _hamilton_rhs(npot: NumericPotential) -> Callable[[np.ndarray], np.ndarray]:
     """Hamilton's equations on the state (x1, y1, x2, y2)."""
+    import numpy as np
     f1, f2 = npot.dv_dx1, npot.dv_dx2
 
     def rhs(s):
@@ -133,6 +134,7 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
     truncated and flagged.  Non-finite dt, horizon or initial data raise
     ValueError.
     """
+    import numpy as np
     if not (np.isfinite(dt) and np.isfinite(horizon)) or dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive and finite")
     state = np.array([float(v) for v in init], dtype=float)
@@ -162,6 +164,7 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
 def nve_coefficient_samples(traj: Trajectory,
                             pot: Union[Potential, NumericPotential]) -> np.ndarray:
     """a(t_i) = alpha(x1(t_i)) along an invariant-plane trajectory."""
+    import numpy as np
     if traj.max_plane_deviation() > 1e-9:
         raise ValueError("trajectory does not lie on the invariant plane")
     npot = _as_numeric(pot)
@@ -182,6 +185,7 @@ def polynomial_degree_test(samples: Sequence[float], degree: int,
     returned residual is the relative least-squares error of the best
     degree-`degree` fit (a diagnostic, not the pass criterion).
     """
+    import numpy as np
     if degree < 0:
         raise ValueError("degree must be non-negative")
     data = np.asarray(samples, dtype=float)
@@ -216,6 +220,7 @@ def variational_consistency(pot: Union[Potential, NumericPotential],
     the size of alpha along the orbit; a fixed threshold on it therefore
     holds only for bounded alpha.
     """
+    import numpy as np
     npot = _as_numeric(pot)
     if not npot.source.v.diff("x2").subs({"x2": 0}).is_zero:
         raise ValueError("potential does not preserve the invariant plane")

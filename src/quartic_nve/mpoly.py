@@ -11,6 +11,14 @@ order is global and canonical so that polynomials built in different modules
 followed by any other identifiers in alphabetical order.  Terms are compared
 lexicographically on the exponent tuple; the "leading" term is the largest.
 
+Arithmetic runs on integers where it can: a product scales each operand to
+integer coefficients by the lcm of its denominators, multiplies and
+accumulates plain ints, and builds one Fraction per surviving term; exact
+division does the same against a primitive integer divisor.  The one
+constructor keeps Fraction coefficients as they are, remaps only variable
+tuples that are not canonical, and rejects duplicate names and exponent
+tuples of the wrong length.
+
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
 """
@@ -18,6 +26,8 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, itemgetter, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Rational = Fraction
@@ -42,7 +52,47 @@ def _var_key(name: str) -> tuple:
 
 
 def canonical_vars(names: Iterable[str]) -> Tuple[str, ...]:
+    """The distinct names in the canonical order."""
     return tuple(sorted(set(names), key=_var_key))
+
+
+def _integer_terms(terms: Mapping[Exponents, Fraction]):
+    """(L, [(exps, L*q)]): the terms scaled to integers by the lcm L of their
+    denominators, in insertion order."""
+    den = lcm(*[q.denominator for q in terms.values()])
+    return den, [(e, q.numerator * (den // q.denominator)) for e, q in terms.items()]
+
+
+def _lift(p: "MPoly", allvars: Tuple[str, ...]) -> Dict[Exponents, Fraction]:
+    """p's terms with exponent tuples over allvars, a canonical superset of
+    p.vars."""
+    if p.vars == allvars:
+        return p.terms
+    if not p.vars:  # a constant; itemgetter of one position gives no tuple
+        return {(0,) * len(allvars): q for q in p.terms.values()}
+    # position -1 reads the 0 appended to each exponent tuple
+    pick = itemgetter(*[p.vars.index(v) if v in p.vars else -1 for v in allvars])
+    return {pick(e + (0,)): q for e, q in p.terms.items()}
+
+
+def _merge(a: Mapping[Exponents, Fraction], b: Mapping[Exponents, Fraction],
+           negate: bool) -> Dict[Exponents, Fraction]:
+    """a + b (a - b if negate) on aligned term dicts; cancelled terms are
+    dropped, surviving terms keep a's order followed by b's new terms."""
+    out = dict(a)
+    for e, q in b.items():
+        if negate:
+            q = -q
+        s = out.get(e)
+        if s is None:
+            out[e] = q
+        else:
+            s += q
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 class MPoly:
@@ -51,22 +101,33 @@ class MPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Scalar]):
+        vars = tuple(vars)
+        n = len(vars)
         cleaned: Dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
-            q = Fraction(coeff)
-            if q != 0:
-                cleaned[tuple(exps)] = q
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff:
+                cleaned[tuple(exps)] = coeff
+        if cleaned and set(map(len, cleaned)) != {n}:
+            bad = next(e for e in cleaned if len(e) != n)
+            raise ValueError(f"exponent tuple {bad} does not have one entry "
+                             f"per variable of {vars}")
         order = canonical_vars(vars)
-        if tuple(vars) != order:
-            remap = [list(vars).index(v) for v in order]
-            cleaned = {tuple(e[i] for i in remap): q for e, q in cleaned.items()}
+        if order != vars:
+            if len(order) != n:
+                raise ValueError(f"duplicate variable names in {vars}")
+            pick = itemgetter(*map(vars.index, order))
+            cleaned = {pick(e): q for e, q in cleaned.items()}
+            vars = order
         # drop variables that never occur with positive exponent
-        used = [i for i, v in enumerate(order)
-                if any(e[i] for e in cleaned)]
-        if len(used) != len(order):
-            order = tuple(order[i] for i in used)
+        if not cleaned:
+            vars = ()
+        elif not all(map(any, zip(*cleaned))):
+            used = [i for i, column in enumerate(zip(*cleaned)) if any(column)]
+            vars = tuple(vars[i] for i in used)
             cleaned = {tuple(e[i] for i in used): q for e, q in cleaned.items()}
-        object.__setattr__(self, "vars", order)
+        object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, *_):  # pragma: no cover
@@ -76,8 +137,7 @@ class MPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "MPoly":
-        q = Fraction(value)
-        return cls((), {(): q} if q else {})
+        return cls((), {(): value})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MPoly":
@@ -143,22 +203,20 @@ class MPoly:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         allvars = canonical_vars(self.vars + other.vars)
-        def lift(p: "MPoly"):
-            idx = [p.vars.index(v) if v in p.vars else -1 for v in allvars]
-            return {tuple(e[i] if i >= 0 else 0 for i in idx): q
-                    for e, q in p.terms.items()}
-        return allvars, lift(self), lift(other)
+        return allvars, _lift(self, allvars), _lift(other, allvars)
 
+    # values are immutable, so a sum or product with zero may return an operand
     def __add__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
         if not isinstance(other, MPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MPoly.const(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         allvars, a, b = self._aligned(other)
-        out = dict(a)
-        for e, q in b.items():
-            out[e] = out.get(e, Fraction(0)) + q
-        return MPoly(allvars, out)
+        return MPoly(allvars, _merge(a, b, False))
 
     __radd__ = __add__
 
@@ -166,30 +224,42 @@ class MPoly:
         return MPoly(self.vars, {e: -q for e, q in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
         if not isinstance(other, MPoly):
-            return NotImplemented
-        return self + (-other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MPoly.const(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        allvars, a, b = self._aligned(other)
+        return MPoly(allvars, _merge(a, b, True))
 
     def __rsub__(self, other) -> "MPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "MPoly":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                return MPoly.zero()
-            return MPoly(self.vars, {e: c * q for e, c in self.terms.items()})
         if not isinstance(other, MPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return MPoly.zero()
+            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         allvars, a, b = self._aligned(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, q1 in a.items():
-            for e2, q2 in b.items():
-                key = tuple(i + j for i, j in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + q1 * q2
-        return MPoly(allvars, out)
+        da, ia = _integer_terms(a)
+        db, ib = _integer_terms(b)
+        out: Dict[Exponents, int] = {}
+        get = out.get
+        for e1, n1 in ia:
+            for e2, n2 in ib:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + n1 * n2
+        den = da * db
+        return MPoly(allvars, {e: Fraction(n, den) for e, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -269,12 +339,9 @@ class MPoly:
         if var not in self.vars:
             return MPoly.zero()
         i = self.vars.index(var)
-        out: Dict[Exponents, Fraction] = {}
-        for e, q in self.terms.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + q * e[i]
-        return MPoly(self.vars, out)
+        # e -> e - unit(i) is injective, so no two terms meet
+        return MPoly(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: q * e[i]
+                                 for e, q in self.terms.items() if e[i]})
 
     # -- normalisation ------------------------------------------------
 
@@ -282,7 +349,6 @@ class MPoly:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
         if self.is_zero:
             return Fraction(0)
-        from math import gcd
         num = 0
         den = 1
         for q in self.terms.values():
@@ -339,34 +405,41 @@ def exact_div(p: MPoly, d: MPoly) -> MPoly:
 
     Single-divisor division under the canonical lex order: when p is a
     multiple of d the leading terms always divide, so the loop terminates
-    with remainder zero.
+    with remainder zero.  It runs on integers: p is scaled to integer
+    coefficients and d to a primitive integer polynomial, and by Gauss's
+    lemma the quotient of those is then an integer polynomial, so every
+    quotient coefficient is an exact integer division.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if p.is_zero:
-        return MPoly.zero()
+        return p
     if d.is_constant():
         return p * (1 / d.constant_value())
     allvars, pt, dt = p._aligned(d)
-    lead_d = max(dt)
-    lc_d = dt[lead_d]
-    rem = dict(pt)
-    quo: Dict[Exponents, Fraction] = {}
+    lp, rem = _integer_terms(pt)
+    ld, dint = _integer_terms(dt)
+    g = gcd(*[c for _, c in dint])
+    dint = [(e, c // g) for e, c in dint]
+    lead_d, lc_d = max(dint)
+    rem = dict(rem)
+    quo: Dict[Exponents, int] = {}
     while rem:
         lead_r = max(rem)
-        qexp = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(k < 0 for k in qexp):
+        qexp = tuple(map(sub, lead_r, lead_d))
+        qc, r = divmod(rem[lead_r], lc_d)
+        if r or min(qexp) < 0:
             raise ValueError("not an exact multiple")
-        qc = rem[lead_r] / lc_d
-        quo[qexp] = quo.get(qexp, Fraction(0)) + qc
-        for e, c in dt.items():
-            key = tuple(a + b for a, b in zip(qexp, e))
-            val = rem.get(key, Fraction(0)) - qc * c
+        quo[qexp] = qc
+        for e, c in dint:
+            key = tuple(map(add, qexp, e))
+            val = rem.get(key, 0) - qc * c
             if val:
                 rem[key] = val
             else:
-                rem.pop(key, None)
-    return MPoly(allvars, quo)
+                del rem[key]
+    den = lp * g
+    return MPoly(allvars, {e: Fraction(n * ld, den) for e, n in quo.items()})
 
 
 def poly_diff(p: MPoly, var: str) -> MPoly:

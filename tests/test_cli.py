@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import quartic_nve
 from quartic_nve.cli import main
 
 
@@ -250,3 +255,43 @@ def test_help_schema(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import quartic_nve.cli as cli
+
+facts = {}
+for argv in (["conditions", "--degree", "4"],
+             ["classify", "--potential", "1 + (x1^4+x1)*x2^2"],
+             ["derive-odes", "--emit", "L2,NL2"],
+             ["kernel", "--case", "b0", "--json"],
+             ["verify-quartic", "--trials", "1", "--seed", "0", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    facts[argv[0]] = [code, "numpy" in sys.modules]
+facts["dynamics imported"] = "quartic_nve.dynamics" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["simulate", "--potential", "1 + (x1^4+1)*x2^2",
+                     "--init", "0.5,1,0,0", "--T", "1", "--degree-test", "4"])
+facts["simulate"] = [code, "numpy" in sys.modules]
+print(json.dumps(facts))
+"""
+
+
+def test_exact_commands_never_import_numpy():
+    """numpy loads only on the numeric path; the CLI still imports
+    quartic_nve.dynamics (tracers look it up in sys.modules)."""
+    src = str(pathlib.Path(quartic_nve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    for command in ("conditions", "classify", "derive-odes", "kernel", "verify-quartic"):
+        code, numpy_loaded = facts[command]
+        assert code in (0, 1), (command, code)
+        assert not numpy_loaded, f"{command} imported numpy"
+    assert facts["dynamics imported"]
+    assert facts["simulate"] == [0, True]

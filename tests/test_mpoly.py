@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartic_nve.mpoly import (MPoly, det_mpoly, exact_div, poly_diff,
-                               poly_gcd, resultant)
+from quartic_nve.mpoly import (MPoly, canonical_vars, det_mpoly, exact_div,
+                               poly_diff, poly_gcd, resultant)
 from quartic_nve.ratfunc import RatFunc
 
 x = MPoly.var("x")
@@ -155,6 +155,122 @@ class TestResultant:
                   and not q.coefficient("x", q.degree("x")).subs(point).is_zero):
                 assert not res_val.is_zero
         assert hits >= 5
+
+
+class TestMalformedInput:
+    def test_duplicate_variable_rejected(self):
+        # the second "x" used to collapse onto the first: x*y, not x^2*y
+        with pytest.raises(ValueError, match="duplicate"):
+            MPoly(("y", "x", "x"), {(1, 1, 1): 1})
+
+    def test_exponent_length_mismatch_rejected(self):
+        # a 2-long exponent under one variable used to print as x but
+        # multiply like x^2
+        with pytest.raises(ValueError, match="one entry per variable"):
+            MPoly(("x",), {(1, 2): 1})
+        with pytest.raises(ValueError, match="one entry per variable"):
+            MPoly(("x", "b"), {(1,): 1})
+
+    def test_non_canonical_order_is_remapped(self):
+        y = MPoly.var("y")
+        assert MPoly(("y", "x"), {(2, 1): 3}) == 3 * x * y ** 2
+        assert MPoly(("e", "b", "x"), {(1, 0, 2): Fraction(1, 2), (0, 0, 0): 0}).to_text() \
+            == "1/2*x^2*e"
+
+
+class TestIntegerKernelAgainstSympy:
+    """Seeded property test of the integer arithmetic: every result equals
+    sympy's expand/div/diff/coeff/subs term for term and is stored in normal
+    form."""
+
+    VARS = ("x", "b", "c", "e")
+
+    def _random_poly(self, rng):
+        names = [v for v in self.VARS if rng.random() < 0.7] or ["x"]
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 3) for _ in names)
+            terms[exps] = Fraction(rng.choice([-9, -5, -2, -1, 1, 3, 4, 7]),
+                                   rng.choice([1, 2, 3, 4, 6, 7, 10]))
+        return MPoly(names, terms)
+
+    @staticmethod
+    def _assert_normal_form(p):
+        assert p.vars == canonical_vars(p.vars)
+        for i in range(len(p.vars)):
+            assert any(exps[i] for exps in p.terms), f"unused {p.vars[i]} in {p.vars}"
+        for exps, q in p.terms.items():
+            assert len(exps) == len(p.vars)
+            assert type(q) is Fraction and q != 0
+
+    def _terms(self, p):
+        """{exponents over VARS: Fraction} of an MPoly."""
+        idx = [p.vars.index(v) if v in p.vars else None for v in self.VARS]
+        return {tuple(e[i] if i is not None else 0 for i in idx): q
+                for e, q in p.terms.items()}
+
+    def _sympy_terms(self, expr, syms):
+        import sympy
+        poly = sympy.Poly(expr, *syms)
+        return {m: Fraction(int(q.p), int(q.q)) for m, q in poly.as_dict().items()}
+
+    def _to_sympy(self, p, syms):
+        import sympy
+        by_name = dict(zip(self.VARS, syms))
+        total = sympy.Integer(0)
+        for exps, q in p.terms.items():
+            term = sympy.Rational(q.numerator, q.denominator)
+            for v, k in zip(p.vars, exps):
+                term *= by_name[v] ** k
+            total += term
+        return total
+
+    def test_matches_sympy(self):
+        import sympy
+        syms = sympy.symbols(self.VARS)
+        rng = random.Random(20240611)
+        for _ in range(100):
+            a, b_ = self._random_poly(rng), self._random_poly(rng)
+            sa, sb = self._to_sympy(a, syms), self._to_sympy(b_, syms)
+            # (a + b)(a - b) cancels the cross terms; (a + b) - b and
+            # (a - b) + b cancel b
+            p, q = a + b_, a - b_
+            sp, sq = sa + sb, sa - sb
+            k = rng.randint(0, 3)
+            cases = [(p * q, sp * sq), (p + q, sp + sq), (p - q, sp - sq),
+                     (p - b_, sa), (q + b_, sa), (a * b_, sa * sb),
+                     (p ** k, sp ** k)]
+            k_x = rng.randint(0, 3)
+            cases += [(p.diff("x"), sympy.diff(sp, syms[0])),
+                      (p.coefficient("x", k_x), sympy.expand(sp).coeff(syms[0], k_x))]
+            for got, want in cases:
+                self._assert_normal_form(got)
+                assert self._terms(got) == self._sympy_terms(sympy.expand(want), syms)
+            point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in self.VARS}
+            value = sp.subs({sym: sympy.Rational(r.numerator, r.denominator)
+                             for sym, r in zip(syms, point.values())})
+            assert p.evaluate(point) == Fraction(int(value.p), int(value.q))
+            if not q.is_zero:
+                quo = exact_div(p * q, q)
+                self._assert_normal_form(quo)
+                want, rem = sympy.div(sympy.expand(sp * sq), sq, *syms)
+                assert rem == 0
+                assert self._terms(quo) == self._sympy_terms(want, syms)
+                assert quo == p
+
+    def test_inexact_division_raises(self):
+        # a leading coefficient that does not divide: 2x + 1 into x^2 + 1
+        with pytest.raises(ValueError):
+            exact_div(x ** 2 + 1, 2 * x + 1)
+        assert exact_div((2 * x + 1) * (x - Fraction(1, 3)), 4 * x + 2) \
+            == Fraction(1, 2) * x - Fraction(1, 6)
+        rng = random.Random(7)
+        for _ in range(30):
+            p = self._random_poly(rng)
+            if p.is_constant():
+                continue
+            with pytest.raises(ValueError):
+                exact_div(p * x + Fraction(1, 3), p)
 
 
 class TestRingAxioms:
