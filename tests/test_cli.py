@@ -81,6 +81,28 @@ class TestDeriveOdes:
         code, _ = run(capsys, "derive-odes", "--emit", "L5")
         assert code == 2
 
+    def test_centering_shift_text(self, capsys):
+        code, out = run(capsys, "derive-odes", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["L2"]["centering_shift"] == "(-1/4*d) / (e)"
+
+
+# the basis Wronskian as printed: numerator over the expanded denominator,
+# both scaled so that the denominator's leading coefficient is 1
+WRONSKIAN_TEXT = {
+    "generic": "(81/512*b^3*c^3) / (x^15*e^5 + 5/2*x^13*c*e^4 + 5/4*x^12*b*e^4"
+               " + 5/2*x^11*c^2*e^3 + 5/2*x^10*b*c*e^3 + 5/8*x^9*b^2*e^3"
+               " + 5/4*x^9*c^3*e^2 + 15/8*x^8*b*c^2*e^2 + 15/16*x^7*b^2*c*e^2"
+               " + 5/16*x^7*c^4*e + 5/32*x^6*b^3*e^2 + 5/8*x^6*b*c^3*e"
+               " + 15/32*x^5*b^2*c^2*e + 1/32*x^5*c^5 + 5/32*x^4*b^3*c*e"
+               " + 5/64*x^4*b*c^4 + 5/256*x^3*b^4*e + 5/64*x^3*b^2*c^3"
+               " + 5/128*x^2*b^3*c^2 + 5/512*x*b^4*c + 1/1024*b^5)",
+    "b0": "(9/8*c) / (x^15*e^5 + 5/2*x^13*c*e^4 + 5/2*x^11*c^2*e^3"
+          " + 5/4*x^9*c^3*e^2 + 5/16*x^7*c^4*e + 1/32*x^5*c^5)",
+    "c0": "(1/512) / (x^15*e^5 + 5/4*x^12*b*e^4 + 5/8*x^9*b^2*e^3"
+          " + 5/32*x^6*b^3*e^2 + 5/256*x^3*b^4*e + 1/1024*b^5)",
+}
+
 
 class TestKernel:
     @pytest.mark.parametrize("case,dim", [("generic", 3), ("b0", 3), ("c0", 3)])
@@ -99,6 +121,12 @@ class TestKernel:
         assert captured.err.startswith("error:")
         assert f"kernel dimension {dim}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case", ["generic", "b0", "c0"])
+    def test_wronskian_text(self, capsys, case):
+        code, out = run(capsys, "kernel", "--case", case, "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["wronskian"] == WRONSKIAN_TEXT[case]
 
 
 class TestVerify:
@@ -243,6 +271,16 @@ class TestDegreeTest:
                     + [item for pair in args.items() for item in pair])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["kernel", "--case", "generic"],
+                                     ["verify-quartic", "--trials", "1"]])
+def test_negative_degree_bound_usage_error(capsys, command):
+    code = main(command + ["--degree-bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --degree-bound must be non-negative\n"
+    assert captured.out == ""
 
 
 def test_help_schema(capsys):
