@@ -35,13 +35,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Callable
 
-from .jets import generate_conditions
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, exact_div, poly_gcd
 from .odes import (BRANCHES, BRANCH_ANCHORS, Branch, NonlinearODE, SolutionBasis,
                    _product, _residual_parts, ansatz_denominator, branch_system,
-                   center_and_reduce, degeneration_branches, rational_kernel,
-                   specialize_quartic, DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
+                   degeneration_branches, generic_quartic_system, rational_kernel,
+                   DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
 
 K_VARS = ("K1", "K2", "K3")
 
@@ -419,11 +418,7 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0,
                            tuple(notes))
 
     try:
-        conditions = generate_conditions(4)
-        if len(conditions.conditions) != 3:
-            return fail("conditions", "expected three degree-4 conditions")
-        linear, nonlinear = specialize_quartic(conditions)
-        l2, nl2, _ = center_and_reduce(linear, nonlinear)
+        l2, nl2 = generic_quartic_system()
     except Exception as exc:  # pragma: no cover
         return fail("derivation", str(exc))
     if nl2_transform is not None:

@@ -21,8 +21,8 @@ from .dynamics import (NumericPotential, integrate_hamilton,
 from .jets import generate_conditions, nve_jet, pullback_condition
 from .mpoly import MPoly
 from .odes import (BRANCHES, BRANCH_ANCHORS, ansatz_denominator, branch_system,
-                   center_and_reduce, generic_quartic_system, rational_kernel,
-                   specialize_quartic)
+                   center_and_reduce, generic_quartic_system, quotient_text,
+                   rational_kernel, specialize_quartic)
 from .potential import InvariantPlaneError, ParseError, format_canonical, parse_potential
 
 REPORT_SCHEMAS = {
@@ -143,7 +143,7 @@ def _cmd_derive_odes(args) -> int:
         out["L2"] = {"unknown": "y(x)", "order": l2.order,
                      "coefficients": [c.to_text() for c in l2.coeffs],
                      "text": l2.to_text().replace("u", "y"),
-                     "centering_shift": mu.to_text()}
+                     "centering_shift": quotient_text(*mu)}
     if "NL2" in wanted:
         out["NL2"] = {"unknown": "y(x)", "poly": nl2.poly.to_text(),
                       "text": nl2.to_text()}
@@ -160,6 +160,9 @@ _CASE_TO_BRANCH = {"generic": "generic", "b0": "b_zero", "c0": "c_zero"}
 
 
 def _cmd_kernel(args) -> int:
+    if args.degree_bound < 0:
+        print("error: --degree-bound must be non-negative", file=sys.stderr)
+        return 2
     branch = next(b for b in BRANCHES if b.name == _CASE_TO_BRANCH[args.case])
     lb, _ = branch_system(branch, generic_quartic_system())
     denom, pole = ansatz_denominator(lb)
@@ -175,14 +178,14 @@ def _cmd_kernel(args) -> int:
                "denominator_exponent": basis.denominator_exponent,
                "extra_pole_order": basis.extra_pole_order,
                "numerators": [n.to_text() for n in basis.numerators],
-               "wronskian": basis.wronskian.to_text()}
+               "wronskian": quotient_text(*basis.wronskian())}
     report = _report("kernel", {"case": args.case, "degree_bound": args.degree_bound}, payload)
     lines = [f"case {args.case}: kernel dimension {basis.dimension}",
              f"  common denominator: "
              + (f"x^{basis.extra_pole_order} * " if basis.extra_pole_order else "")
              + f"({basis.denominator.to_text()})^{basis.denominator_exponent}"]
     lines += [f"  numerator: {n.to_text()}" for n in basis.numerators]
-    lines.append(f"  wronskian: {basis.wronskian.to_text()}")
+    lines.append(f"  wronskian: {payload['wronskian']}")
     _emit(report, args.json, lines)
     return 0
 
@@ -190,6 +193,9 @@ def _cmd_kernel(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 0:
         print("error: --trials must be non-negative", file=sys.stderr)
+        return 2
+    if args.degree_bound < 0:
+        print("error: --degree-bound must be non-negative", file=sys.stderr)
         return 2
     cert = verify_quartic_theorem(trials=args.trials, seed=args.seed,
                                   degree_bound=args.degree_bound)

@@ -23,19 +23,20 @@ classical bases together with their degeneration loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, content_wrt, det_mpoly, exact_div, poly_gcd
-from .ratfunc import RatFunc
 
 Y_JETS = ("y", "yp", "ypp")
 
 # a denominator prod f^k as its (f, k) pairs
 Factors = Tuple[Tuple[MPoly, int], ...]
+# num / prod f^k as (num, factors)
+Quotient = Tuple[MPoly, Factors]
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,6 @@ class SolutionBasis:
     denominator_exponent: int
     extra_pole_order: int
     numerators: Tuple[MPoly, ...]
-    wronskian: RatFunc
     anchor: Tuple[int, ...]
 
     @property
@@ -139,6 +139,12 @@ class SolutionBasis:
             rows.append(cur)
             cur = [p.diff(self.var) for p in cur]
         return det_mpoly(rows)
+
+    def wronskian(self) -> Quotient:
+        """The Wronskian of the y_i: the numerator Wronskian over the
+        denominator to the power dimension, cancelled by trial division."""
+        return cancel(self.numerator_wronskian(),
+                      tuple((f, k * self.dimension) for f, k in self.factors()))
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,8 @@ def specialize_quartic(conditions: DiffCondition,
     """
     if conditions.degree != 4:
         raise ValueError("expected conditions generated for degree 4")
+    if len(conditions.conditions) != 3:
+        raise ValueError("expected three degree-4 conditions")
     if alpha_coeffs is None:
         alpha = quartic_alpha("x1")
     else:
@@ -245,19 +253,20 @@ def shift_alpha(alpha_coeffs: Sequence[Scalar], mu: Fraction) -> Tuple[Fraction,
 
 def center_and_reduce(linear: LinearODE, nonlinear: NonlinearODE,
                       alpha_coeffs: Optional[Sequence[Scalar]] = None
-                      ) -> Tuple[LinearODE, NonlinearODE, RatFunc]:
+                      ) -> Tuple[LinearODE, NonlinearODE, Quotient]:
     """Order reduction y = phi' plus the translation x = x1 - mu, mu = -d/(4e).
 
     The translation annihilates the cubic coefficient of alpha.  With
     symbolic input the returned equations reuse the symbols b, c for the
-    shifted linear and quadratic coefficients; with rational alpha_coeffs
-    the equations are fully specialised and mu is a rational number.
+    shifted linear and quadratic coefficients and mu is (-d, ((4e, 1),));
+    with rational alpha_coeffs the equations are fully specialised and mu
+    is (mu, ()).
     """
     if not linear.coeffs[0].is_zero:
         raise ValueError("expected no zeroth-order term before reduction")
     reduced = LinearODE(linear.var, tuple(linear.coeffs[1:]))
     if alpha_coeffs is None:
-        mu = RatFunc(-MPoly.var("d"), 4 * MPoly.var("e"))
+        mu = (-MPoly.var("d"), ((4 * MPoly.var("e"), 1),))
         l2 = LinearODE("x", tuple(cf.subs({"d": 0, "x1": MPoly.var("x")})
                                   for cf in reduced.coeffs)).normalized()
         nl2 = NonlinearODE("x", nonlinear.poly.subs({"d": 0, "x1": MPoly.var("x")})).normalized()
@@ -272,7 +281,7 @@ def center_and_reduce(linear: LinearODE, nonlinear: NonlinearODE,
               "d": Fraction(0), "e": shifted[4], "x1": MPoly.var("x")}
     l2 = LinearODE("x", tuple(cf.subs(values) for cf in reduced.coeffs)).normalized()
     nl2 = NonlinearODE("x", nonlinear.poly.subs(values)).normalized()
-    return l2, nl2, RatFunc(MPoly.const(mu_val))
+    return l2, nl2, (MPoly.const(mu_val), ())
 
 
 def generic_quartic_system() -> Tuple[LinearODE, NonlinearODE]:
@@ -354,8 +363,7 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
                          f"{numerator_degree_bound}, but the anchor {anchor} "
                          f"needs {len(anchor)}")
     if not kernel:
-        return SolutionBasis(x, denom, denom_exponent, extra_pole_order, (),
-                             RatFunc.one(), ())
+        return SolutionBasis(x, denom, denom_exponent, extra_pole_order, (), ())
     # the vector of free column f is D at f and 0 beyond it, so its last
     # nonzero entry names f; free == anchor iff the anchor block is D times
     # the identity
@@ -374,31 +382,7 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     for p_num in nums:
         if not _residual_parts(ode, p_num, factors)[0].is_zero:
             raise AssertionError("kernel element fails the residual re-check")
-    basis = SolutionBasis(x, denom, denom_exponent, extra_pole_order,
-                          tuple(nums), RatFunc.one(), anchor)
-    wron = _structured_quotient(basis.numerator_wronskian(),
-                                basis.full_denominator() ** dim, (MPoly.var(x), denom))
-    return replace(basis, wronskian=wron)
-
-
-def _structured_quotient(num: MPoly, den: MPoly,
-                         factors: Sequence[MPoly]) -> RatFunc:
-    """num/den reduced by trial division with the known denominator factors
-    before the generic gcd kicks in (cheap for structured power denominators)."""
-    changed = True
-    while changed and not num.is_zero:
-        changed = False
-        for f in factors:
-            if f.is_constant():
-                continue
-            try:
-                n2 = exact_div(num, f)
-                d2 = exact_div(den, f)
-            except ValueError:
-                continue
-            num, den = n2, d2
-            changed = True
-    return RatFunc(num, den)
+    return SolutionBasis(x, denom, denom_exponent, extra_pole_order, tuple(nums), anchor)
 
 
 @dataclass(frozen=True)
@@ -454,6 +438,34 @@ def _product(factors: Factors) -> MPoly:
     return out
 
 
+def cancel(num: MPoly, factors: Factors) -> Quotient:
+    """num / prod f^k with each f divided out of num as often as it goes."""
+    if num.is_zero:
+        return num, ()
+    kept = []
+    for f, k in factors:
+        while k and not f.is_constant():
+            try:
+                num = exact_div(num, f)
+            except ValueError:
+                break
+            k -= 1
+        if k:
+            kept.append((f, k))
+    return num, tuple(kept)
+
+
+def quotient_text(num: MPoly, factors: Factors) -> str:
+    """num / prod f^k as text "(num) / (den)", den expanded and both parts
+    scaled to make den's leading coefficient 1; just num when den is 1."""
+    den = _product(factors)
+    scale = 1 / den.leading()[1]
+    num, den = num * scale, den * scale
+    if den == MPoly.const(1):
+        return num.to_text()
+    return f"({num.to_text()}) / ({den.to_text()})"
+
+
 def _jet_numerators(num: MPoly, factors: Factors, x: str, order: int) -> List[MPoly]:
     """N_0..N_order with (num / prod f^k)^(j) = N_j / prod f^(k+j).
 
@@ -504,12 +516,12 @@ def _residual_parts(ode: Union[LinearODE, NonlinearODE], num: MPoly,
     return total, K
 
 
+def residual(ode: Union[LinearODE, NonlinearODE], num: MPoly, den: MPoly) -> Quotient:
+    """Exact residual of y = num/den as (S, ((den, K),)), S / den^K."""
+    total, (exponent,) = _residual_parts(ode, num, ((den, 1),))
+    return total, ((den, exponent),)
+
+
 def solves(ode: Union[LinearODE, NonlinearODE], num: MPoly, den: MPoly) -> bool:
     """True iff num/den is an exact solution of the equation."""
-    return _residual_parts(ode, num, ((den, 1),))[0].is_zero
-
-
-def residual(ode: Union[LinearODE, NonlinearODE], candidate: RatFunc) -> RatFunc:
-    """Exact residual of a candidate solution; zero iff it solves the equation."""
-    num, (exponent,) = _residual_parts(ode, candidate.num, ((candidate.den, 1),))
-    return RatFunc(num, candidate.den ** exponent)
+    return residual(ode, num, den)[0].is_zero

@@ -19,7 +19,6 @@ from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, NonlinearODE,
                               ansatz_denominator, branch_system,
                               center_and_reduce, rational_kernel, solves,
                               specialize_quartic)
-from quartic_nve.ratfunc import RatFunc
 
 x = MPoly.var("x")
 b, c, e = (MPoly.var(v) for v in "bce")
@@ -123,7 +122,7 @@ class TestBuildQ:
         from quartic_nve.odes import SolutionBasis
         lb, nb, basis, _, _ = pipeline["generic"]
         bad = SolutionBasis(basis.var, basis.denominator, 3, 3,
-                            basis.numerators, basis.wronskian, basis.anchor)
+                            basis.numerators, basis.anchor)
         with pytest.raises(AssertionError):
             build_Q(nb, bad)
 

@@ -4,12 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quartic_nve.mpoly import (MPoly, canonical_vars, det_mpoly, exact_div,
                                poly_diff, poly_gcd, resultant)
-from quartic_nve.ratfunc import RatFunc
 
 x = MPoly.var("x")
 b = MPoly.var("b")
@@ -296,19 +293,6 @@ class TestRingAxioms:
             rhs = poly_gcd(p, q) * g
             # associates: lhs divides rhs and vice versa after normalisation
             assert lhs == rhs.primitive()
-
-
-@settings(max_examples=60, deadline=None)
-@given(num=st.integers(-40, 40), den=st.integers(1, 9),
-       e1=st.integers(0, 4), e2=st.integers(0, 3))
-def test_ratfunc_normalization_idempotent(num, den, e1, e2):
-    if num == 0:
-        num = 1
-    f = RatFunc(MPoly.const(Fraction(num, den)) * MPoly.var("x", e1) * MPoly.var("b", e2) + MPoly.var("x"),
-                MPoly.var("x", e2) * 3 + MPoly.var("b"))
-    again = RatFunc(f.num, f.den)
-    assert again.num == f.num and again.den == f.den
-    assert f.den.leading()[1] == 1
 
 
 def test_golden_text_forms():

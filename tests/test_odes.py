@@ -10,12 +10,11 @@ from quartic_nve.jets import generate_conditions
 from quartic_nve.mpoly import MPoly, poly_gcd
 from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, LinearODE, NonlinearODE,
                               SolutionBasis, _jet_numerators, _product,
-                              ansatz_denominator, branch_system,
+                              ansatz_denominator, branch_system, cancel,
                               center_and_reduce, degeneration_branches,
                               generic_quartic_system, rational_kernel, residual,
                               shift_alpha, solves, specialize_quartic,
                               DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
-from quartic_nve.ratfunc import RatFunc
 
 x = MPoly.var("x")
 x1 = MPoly.var("x1")
@@ -101,20 +100,25 @@ class TestCenterAndReduce:
         coeffs = (1, -4, 6, -4, 1)
         cond = generate_conditions(4)
         lin, non = specialize_quartic(cond, coeffs)
-        _, _, mu = center_and_reduce(lin, non, coeffs)
-        assert mu == RatFunc(1)
+        _, _, (mu, pole) = center_and_reduce(lin, non, coeffs)
+        assert mu == _product(pole)
         assert shift_alpha(coeffs, Fraction(1)) == (0, 0, 0, 0, 1)
 
     def test_already_centered(self):
         coeffs = (2, 3, 5, 0, 7)
         cond = generate_conditions(4)
         lin, non = specialize_quartic(cond, coeffs)
-        l2, _, mu = center_and_reduce(lin, non, coeffs)
-        assert mu == RatFunc(0)
+        l2, _, (mu, _) = center_and_reduce(lin, non, coeffs)
+        assert mu.is_zero
         generic_l2 = center_and_reduce(*specialize_quartic(cond))[0]
         specialized = LinearODE("x", tuple(
             cf.subs({"b": 3, "c": 5, "e": 7}) for cf in generic_l2.coeffs)).normalized()
         assert l2.coeffs == specialized.coeffs
+
+    def test_symbolic_shift(self, quartic_system):
+        # mu = -d / (4e), cross-multiplied
+        mu, pole = quartic_system[5]
+        assert mu * 4 * e == -d * _product(pole)
 
     def test_generic_l2_matches_display(self, quartic_system):
         _, _, _, l2, _, _ = quartic_system
@@ -178,7 +182,8 @@ class TestRationalKernel:
         basis = rational_kernel(ode, MPoly.const(1), 1, 0, 6)
         assert basis.dimension == 3
         assert basis.numerators == (MPoly.const(1), x, x ** 2)
-        assert basis.wronskian == RatFunc(2)
+        w, pole = basis.wronskian()
+        assert w == 2 * _product(pole)
 
     def test_dimensions_and_frozen_numerators(self, branch_bases):
         for name, frozen in FROZEN_BASES.items():
@@ -192,11 +197,12 @@ class TestRationalKernel:
             den = basis.full_denominator()
             for num in basis.numerators:
                 assert solves(lb, num, den)
-                assert residual(lb, RatFunc(num, den)).is_zero
+                # third order: the residual sits over den^(1 + 3)
+                assert residual(lb, num, den) == (MPoly.zero(), ((den, 4),))
 
     def test_non_solution_has_residual(self, branch_bases):
         lb, _, basis = branch_bases["generic"]
-        assert not residual(lb, RatFunc(x, basis.denominator)).is_zero
+        assert not residual(lb, x, basis.denominator)[0].is_zero
 
     def test_ansatz_denominators(self, branch_bases):
         gen = branch_bases["generic"][2]
@@ -238,8 +244,9 @@ class TestRationalKernel:
             _, _, basis = branch_bases[name]
             num_w = basis.numerator_wronskian()
             den = basis.full_denominator() ** 3
-            assert basis.wronskian == RatFunc(num_w, den)
-            assert not basis.wronskian.is_zero
+            w, pole = basis.wronskian()
+            assert w * den == num_w * _product(pole)
+            assert not w.is_zero
 
     def test_invalid_anchor_rejected(self, branch_bases):
         lb, _, _ = branch_bases["b_zero"]
@@ -303,7 +310,16 @@ class TestJetNumerators:
                                  MPoly.zero())
 
     def test_matches_iterated_quotient_rule(self):
-        # y^(j) = N_j / prod f^(k+j) for each factor shape the pipeline uses
+        # y^(j) = N_j / prod f^(k+j) for each factor shape the pipeline uses,
+        # against sympy's derivatives of num / prod f^k
+        import sympy
+
+        def to_sympy(p):
+            return sympy.sympify(p.to_text().replace("^", "**"))
+
+        def power_product(factors, shift):
+            return sympy.Mul(*(to_sympy(f) ** (k + shift) for f, k in factors))
+
         rng = random.Random(23)
         for _ in range(3):
             num = self._random_poly(rng, 3)
@@ -312,11 +328,22 @@ class TestJetNumerators:
             for factors in (((den, 1),), ((D, 3),), ((x, 3), (D, 3))):
                 nums = _jet_numerators(num, factors, "x", 3)
                 assert len(nums) == 4
-                y = RatFunc(num, _product(factors))
+                y = to_sympy(num) / power_product(factors, 0)
                 for j, n_j in enumerate(nums):
-                    shifted = tuple((f, k + j) for f, k in factors)
-                    assert RatFunc(n_j, _product(shifted)) == y, (factors, j)
-                    y = y.diff("x")
+                    quotient = to_sympy(n_j) / power_product(factors, j)
+                    assert sympy.cancel(sympy.together(quotient - y)) == 0, (factors, j)
+                    y = sympy.diff(y, sympy.Symbol("x"))
+
+
+class TestCancel:
+    def test_divides_each_factor_as_often_as_it_goes(self):
+        num = 6 * x ** 2 * (x + 1)
+        assert cancel(num, ((x, 3), (x + 1, 2), (x - 1, 1))) == (
+            MPoly.const(6), ((x, 1), (x + 1, 1), (x - 1, 1)))
+
+    def test_zero_and_constant_factors(self):
+        assert cancel(MPoly.zero(), ((x, 2),)) == (MPoly.zero(), ())
+        assert cancel(x, ((MPoly.const(4), 1),)) == (x, ((MPoly.const(4), 1),))
 
 
 class TestDegeneration:
@@ -369,7 +396,7 @@ class TestDegeneration:
 
     def test_zero_wronskian_rejected(self):
         dep = SolutionBasis("x", MPoly.const(1), 1, 0,
-                            (x, 2 * x, x ** 2), RatFunc(1), (0, 1, 2))
+                            (x, 2 * x, x ** 2), (0, 1, 2))
         with pytest.raises(ValueError):
             degeneration_branches(dep)
 
