@@ -117,44 +117,34 @@ def build_Q(nl: NonlinearODE, basis: SolutionBasis) -> MPoly:
 
 
 def extract_forms(q: MPoly) -> List[QuadraticForm]:
-    """One symmetric conic matrix per x-power of Q, 0 <= i <= deg_x Q."""
-    xvar = "x"
-    _check_k_homogeneous(q)
-    by_power = q.collect(xvar)
-    deg = max(by_power) if by_power else 0
-    forms = []
-    for i in range(deg + 1):
-        coeff = by_power.get(i, MPoly.zero())
-        matrix = [[MPoly.zero()] * 3 for _ in range(3)]
-        for a in range(3):
-            row = coeff.coefficient(K_VARS[a], 1)
-            for bidx in range(3):
-                if bidx == a:
-                    quad = coeff.coefficient(K_VARS[a], 2)
-                    ent = quad.subs({k: 0 for k in K_VARS if k in quad.vars})
-                    matrix[a][a] = ent
-                else:
-                    mixed = row.coefficient(K_VARS[bidx], 1)
-                    ent = mixed.subs({k: 0 for k in K_VARS if k in mixed.vars})
-                    matrix[a][bidx] = ent * Fraction(1, 2)
-        forms.append(QuadraticForm(i, tuple(tuple(r) for r in matrix)))
-    # reassembly must reproduce q exactly
+    """One symmetric conic matrix per x-power of Q, 0 <= i <= deg_x Q.
+
+    Q is split once over (x, K1, K2, K3); a term that is not of degree two
+    in K is an error, and the forms must reassemble to Q term by term.
+    """
+    names = ("x",) + K_VARS
+    parts = q.split(names)
+    deg = max((i for i, *_ in parts), default=0)
+    matrices = [[[MPoly.zero()] * 3 for _ in range(3)] for _ in range(deg + 1)]
+    for (i, *kexp), coeff in parts.items():
+        if sum(kexp) != 2:
+            raise ValueError("Q is not homogeneous of degree 2 in K1, K2, K3")
+        # the K indices of the term: K_a K_b
+        a, b = [j for j, k in enumerate(kexp) for _ in range(k)]
+        matrices[i][a][b] = matrices[i][b][a] = coeff if a == b else coeff * Fraction(1, 2)
+    forms = [QuadraticForm(i, tuple(map(tuple, m))) for i, m in enumerate(matrices)]
+    # reassembly must reproduce q exactly: Q = sum_i x^i sum_ab M_ab K_a K_b
     recon = MPoly.zero()
     for f in forms:
-        piece = f.as_poly()
-        if f.index:
-            piece = piece * MPoly.var(xvar, f.index)
-        recon = recon + piece
+        for a in range(3):
+            for b in range(3):
+                kexp = tuple((j == a) + (j == b) for j in range(3))
+                recon = recon + MPoly(f.matrix[a][b].vars + names,
+                                      {e + (f.index,) + kexp: c
+                                       for e, c in f.matrix[a][b].terms.items()})
     if recon != q:
         raise AssertionError("conic reassembly does not reproduce Q")
     return forms
-
-
-def _check_k_homogeneous(q: MPoly) -> None:
-    idx = [q.vars.index(k) for k in K_VARS if k in q.vars]
-    for exps in q.terms:
-        if sum(exps[i] for i in idx) != 2:
-            raise ValueError("Q is not homogeneous of degree 2 in K1, K2, K3")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .odes import (BRANCHES, BRANCH_ANCHORS, ansatz_denominator, branch_system,
                    rational_kernel, specialize_quartic)
 from .potential import InvariantPlaneError, ParseError, format_canonical, parse_potential
 
+# a key ending in "?" names a field that only some reports carry
 REPORT_SCHEMAS = {
     "conditions": {
         "result": {"degree": "int",
@@ -36,29 +37,42 @@ REPORT_SCHEMAS = {
                    "nonintegrability_note": "cited text"},
     },
     "derive-odes": {
-        "result": {"<name>": {"text": "equation text", "coefficients|poly": "canonical"}},
+        "result": {"L?": {"unknown": "text", "order": "int",
+                          "coefficients": ["canonical text"], "text": "equation text"},
+                   "NL?": {"unknown": "text", "poly": "canonical text",
+                           "text": "equation text"},
+                   "L2?": {"unknown": "text", "order": "int",
+                           "coefficients": ["canonical text"], "text": "equation text",
+                           "centering_shift": "text"},
+                   "NL2?": {"unknown": "text", "poly": "canonical text",
+                            "text": "equation text"}},
     },
     "kernel": {
         "result": {"case": "generic|b0|c0", "dimension": "int",
-                   "denominator": "text", "extra_pole_order": "int",
+                   "denominator": "text", "denominator_exponent": "int",
+                   "extra_pole_order": "int",
                    "numerators": ["text"], "wronskian": "text"},
     },
     "verify-quartic": {
         "result": {"branches": [{"name": "str", "q_degree": "int",
                                  "num_equations": "int",
-                                 "trials": [{"params": "map", "verdict": "str"}],
-                                 "verdict": "str"}],
+                                 "trials": [{"params": "map", "verdict": "str",
+                                             "witness?": ["str"],
+                                             "transcript_digest": "hex"}],
+                                 "verdict": "str",
+                                 "witness_summary?": "str"}],
                    "conclusion": "str", "theorem_form": "str",
-                   "nonintegrability_note": "str"},
+                   "nonintegrability_note": "str", "seed": "int",
+                   "status": "ok|fail", "notes": ["str"],
+                   "failing_stage?": "str"},
     },
     "simulate": {
         "result": {"csv": "path", "samples": "int", "energy_drift": "float",
                    "plane_deviation": "float", "diverged": "bool",
-                   "degree_test": {"degree": "int", "pass": "bool", "residual": "float"}},
+                   "degree_test?": {"degree": "int", "pass": "bool", "residual": "float"}},
     },
     "degree-test": {
-        "result": {"degree": "int", "pass": "bool", "residual": "float",
-                   "metric": "float"},
+        "result": {"degree": "int", "pass": "bool", "residual": "float"},
     },
 }
 
@@ -206,9 +220,8 @@ def _cmd_verify(args) -> int:
                      payload,
                      status="ok" if cert.status == "ok" else "fail",
                      stage=cert.failing_stage)
-    out_path = args.out or (args.json if args.json else "")
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     lines = [f"status: {cert.status}" + (f" ({cert.failing_stage})" if cert.failing_stage else "")]
     for b in cert.branches:
@@ -216,7 +229,7 @@ def _cmd_verify(args) -> int:
                      f"{b.num_equations} conics, verdict {b.verdict}"
                      + (f" [{b.witness_summary}]" if b.witness_summary else ""))
     lines.append(f"conclusion: {cert.conclusion}")
-    _emit(report, args.json is not None, lines)
+    _emit(report, args.json, lines)
     return 0 if cert.matches_theorem else 1
 
 
@@ -350,10 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--degree-bound", type=int, default=8)
-    p.add_argument("--json", nargs="?", const="", default=None, metavar="PATH",
-                   help="print the report as JSON; with a PATH, also write "
-                        "the certificate there")
-    p.add_argument("--out", dest="out", default="",
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--out", default="",
                    help="write the certificate JSON to this path")
     p.set_defaults(func=_cmd_verify)
 

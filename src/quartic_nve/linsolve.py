@@ -7,7 +7,8 @@ entry stays an element of the input ring.  Back-substitution sets the free
 column to the last pivot D and solves each pivot column with one exact
 division; the kernel basis is then D times the reduced echelon form with
 respect to the free columns, so the caller chooses that normal form by
-ordering the columns.  Determinants live in `mpoly.det_mpoly`.
+ordering the columns.  `mpoly.det_mpoly` reads determinants off the same
+elimination.
 """
 
 from __future__ import annotations
@@ -18,20 +19,24 @@ from typing import List, Sequence, Tuple
 def _forward_eliminate(rows: List[list]):
     """Fraction-free (Bareiss) row echelon reduction.
 
-    Returns (echelon rows, pivot (row, col) list).  Every division is exact
-    (Sylvester's identity); entries below a pivot are left as they were.
+    Returns (echelon rows, pivot (row, col) list, row-swap sign).  Every
+    division is exact (Sylvester's identity); entries below a pivot are left
+    as they were.
     """
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     a = [list(r) for r in rows]
     pivots: List[Tuple[int, int]] = []
     prev = 1
+    sign = 1
     r = 0
     for col in range(ncols):
         sel = next((i for i in range(r, m) if a[i][col]), None)
         if sel is None:
             continue
-        a[r], a[sel] = a[sel], a[r]
+        if sel != r:
+            a[r], a[sel] = a[sel], a[r]
+            sign = -sign
         piv = a[r][col]
         pivots.append((r, col))
         for i in range(r + 1, m):
@@ -41,7 +46,7 @@ def _forward_eliminate(rows: List[list]):
         r += 1
         if r == m:
             break
-    return a, pivots
+    return a, pivots, sign
 
 
 def matrix_kernel(rows: Sequence[Sequence], ncols: int):
@@ -56,7 +61,7 @@ def matrix_kernel(rows: Sequence[Sequence], ncols: int):
     is the D at f.  Over the parameters the kernel can fail to specialise
     only where a pivot vanishes.
     """
-    ech, pivots = _forward_eliminate([r for r in rows if any(r)])
+    ech, pivots, _ = _forward_eliminate([r for r in rows if any(r)])
     d = ech[pivots[-1][0]][pivots[-1][1]] if pivots else 1
     pivot_cols = [c for (_, c) in pivots]
     basis = []

@@ -30,6 +30,8 @@ from math import gcd, lcm
 from operator import add, itemgetter, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
+from .linsolve import _forward_eliminate
+
 Rational = Fraction
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -286,17 +288,24 @@ class MPoly:
 
     # -- structure ----------------------------------------------------
 
+    def split(self, names: Sequence[str]) -> Dict[Exponents, "MPoly"]:
+        """Coefficients by exponent tuple over `names`, as polynomials in the
+        other variables; one pass over the terms."""
+        names = tuple(names)
+        # position -1 reads the 0 appended to each exponent tuple
+        picks = [self.vars.index(v) if v in self.vars else -1 for v in names]
+        keep = [i for i, v in enumerate(self.vars) if v not in names]
+        rest = tuple(self.vars[i] for i in keep)
+        buckets: Dict[Exponents, Dict[Exponents, Fraction]] = {}
+        for e, q in self.terms.items():
+            padded = e + (0,)
+            key = tuple(padded[i] for i in picks)
+            buckets.setdefault(key, {})[tuple(e[i] for i in keep)] = q
+        return {k: MPoly(rest, t) for k, t in buckets.items()}
+
     def collect(self, var: str) -> Dict[int, "MPoly"]:
         """Coefficients by power of `var`, as polynomials in the rest."""
-        if var not in self.vars:
-            return {0: self} if not self.is_zero else {}
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: Dict[int, Dict[Exponents, Fraction]] = {}
-        for e, q in self.terms.items():
-            k = e[i]
-            buckets.setdefault(k, {})[e[:i] + e[i + 1:]] = q
-        return {k: MPoly(rest, t) for k, t in buckets.items()}
+        return {k: p for (k,), p in self.split((var,)).items()}
 
     def coefficient(self, var: str, power: int) -> "MPoly":
         return self.collect(var).get(power, MPoly.zero())
@@ -364,6 +373,14 @@ class MPoly:
         if self.terms[max(self.terms)] < 0:
             c = -c
         return self * (1 / c)
+
+    def monomial_content(self, var: str) -> "MPoly":
+        """The monic monomial in the variables other than `var` that divides
+        every term: the componentwise minimum of their exponents."""
+        low = [min(column) for column in zip(*self.terms)]
+        if var in self.vars:
+            low[self.vars.index(var)] = 0
+        return MPoly(self.vars, {tuple(low): 1})
 
     def to_text(self) -> str:
         """Canonical text: terms in decreasing order, explicit * and ^."""
@@ -486,7 +503,7 @@ def _poly_from_coeffs(coeffs: Sequence[MPoly], var: str) -> MPoly:
     return out
 
 
-def content_wrt(p: MPoly, var: str) -> MPoly:
+def _content_wrt(p: MPoly, var: str) -> MPoly:
     """Content of p as a polynomial in var: the gcd of its coefficients."""
     coeffs = [c for c in p.collect(var).values() if not c.is_zero]
     g = MPoly.zero()
@@ -513,9 +530,9 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     if main not in p.vars or main not in q.vars:
         # main variable missing from one input: gcd divides its content
         if main in p.vars:
-            return poly_gcd(content_wrt(p, main), q)
-        return poly_gcd(p, content_wrt(q, main))
-    cont_p, cont_q = content_wrt(p, main), content_wrt(q, main)
+            return poly_gcd(_content_wrt(p, main), q)
+        return poly_gcd(p, _content_wrt(q, main))
+    cont_p, cont_q = _content_wrt(p, main), _content_wrt(q, main)
     cont = poly_gcd(cont_p, cont_q) if not (cont_p.is_constant() and cont_q.is_constant()) else MPoly.const(1)
     f = [exact_div(c, cont_p) for c in _coeff_list(p, main)]
     g = [exact_div(c, cont_q) for c in _coeff_list(q, main)]
@@ -536,7 +553,7 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         s = f[-1]
         h = exact_div(s ** delta, h ** (delta - 1)) if delta > 0 else h
     result = _poly_from_coeffs(g, main)
-    pp = exact_div(result, content_wrt(result, main))
+    pp = exact_div(result, _content_wrt(result, main))
     return (cont * pp).primitive()
 
 
@@ -563,28 +580,14 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 
 
 def det_mpoly(matrix: Sequence[Sequence[MPoly]]) -> MPoly:
-    """Determinant of a square MPoly matrix, fraction-free (Bareiss)."""
+    """Determinant of a square MPoly matrix: the row-swap sign times the last
+    pivot of the fraction-free (Bareiss) elimination, 0 below full rank."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         return MPoly.const(1)
-    a = [list(row) for row in matrix]
-    sign = 1
-    prev = MPoly.const(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = MPoly.zero()
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
+    ech, pivots, sign = _forward_eliminate(matrix)
+    if len(pivots) < n:
+        return MPoly.zero()
+    return ech[n - 1][n - 1] * sign

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet
 from .linsolve import matrix_kernel
-from .mpoly import MPoly, Scalar, content_wrt, det_mpoly, exact_div, poly_gcd
+from .mpoly import MPoly, det_mpoly, exact_div
 
 Y_JETS = ("y", "yp", "ypp")
 
@@ -186,10 +186,8 @@ def quartic_alpha(var: str = "x1") -> MPoly:
             + MPoly.var("d") * v ** 3 + MPoly.var("e") * v ** 4)
 
 
-def specialize_quartic(conditions: DiffCondition,
-                       alpha_coeffs: Optional[Sequence[Scalar]] = None
-                       ) -> Tuple[LinearODE, NonlinearODE]:
-    """Instantiate the degree-4 conditions at a quartic alpha.
+def specialize_quartic(conditions: DiffCondition) -> Tuple[LinearODE, NonlinearODE]:
+    """Instantiate the degree-4 conditions at the symbolic quartic alpha.
 
     Returns the linear 4th-order equation in phi (the coefficient of phi
     itself is zero, so it reduces to 3rd order in y = phi') and the
@@ -201,18 +199,8 @@ def specialize_quartic(conditions: DiffCondition,
         raise ValueError("expected conditions generated for degree 4")
     if len(conditions.conditions) != 3:
         raise ValueError("expected three degree-4 conditions")
-    if alpha_coeffs is None:
-        alpha = quartic_alpha("x1")
-    else:
-        if len(alpha_coeffs) != 5:
-            raise ValueError("alpha_coeffs must be (a, b, c, d, e)")
-        if Fraction(alpha_coeffs[4]) == 0:
-            raise ValueError("alpha is not quartic: e = 0")
-        v = MPoly.var("x1")
-        alpha = sum((MPoly.const(alpha_coeffs[i]) * v ** i for i in range(5)),
-                    MPoly.zero())
     jet_values: Dict[str, MPoly] = {}
-    cur = alpha
+    cur = quartic_alpha("x1")
     for r in range(0, 6):
         jet_values[alpha_jet(r)] = cur
         cur = cur.diff("x1")
@@ -220,12 +208,10 @@ def specialize_quartic(conditions: DiffCondition,
     top = by_nk[(5, 5)].subs(jet_values)
     if not top.is_zero:
         raise ValueError("E(5,5) does not vanish: alpha is not quartic")
-    lin_jet = by_nk[(5, 3)].subs(jet_values)
-    coeffs = [MPoly.zero()]
-    for j in range(1, 5):
-        cf = lin_jet.coefficient(phi_jet(j), 1)
-        cf = cf.subs({phi_jet(s): 0 for s in range(1, 5) if phi_jet(s) in cf.vars})
-        coeffs.append(cf)
+    # the coefficient of phi^(j) is the part of degree one in phi^(j) alone
+    by_phi = by_nk[(5, 3)].subs(jet_values).split([phi_jet(j) for j in range(1, 5)])
+    coeffs = [MPoly.zero()] + [by_phi.get(tuple(int(i == j) for i in range(4)), MPoly.zero())
+                               for j in range(4)]
     linear = LinearODE("x1", tuple(coeffs)).normalized()
     nl_jet = by_nk[(5, 1)].subs(jet_values)
     nl_poly = nl_jet.subs({phi_jet(1): MPoly.var("y"),
@@ -240,48 +226,22 @@ def specialize_quartic(conditions: DiffCondition,
     return linear, nonlinear
 
 
-def shift_alpha(alpha_coeffs: Sequence[Scalar], mu: Fraction) -> Tuple[Fraction, ...]:
-    """Coefficients of alpha(x + mu) given those of alpha(x1)."""
-    from math import comb
-    a = [Fraction(v) for v in alpha_coeffs]
-    out = [Fraction(0)] * len(a)
-    for i, ai in enumerate(a):
-        for k in range(i + 1):
-            out[k] += ai * comb(i, k) * mu ** (i - k)
-    return tuple(out)
-
-
-def center_and_reduce(linear: LinearODE, nonlinear: NonlinearODE,
-                      alpha_coeffs: Optional[Sequence[Scalar]] = None
+def center_and_reduce(linear: LinearODE, nonlinear: NonlinearODE
                       ) -> Tuple[LinearODE, NonlinearODE, Quotient]:
     """Order reduction y = phi' plus the translation x = x1 - mu, mu = -d/(4e).
 
-    The translation annihilates the cubic coefficient of alpha.  With
-    symbolic input the returned equations reuse the symbols b, c for the
-    shifted linear and quadratic coefficients and mu is (-d, ((4e, 1),));
-    with rational alpha_coeffs the equations are fully specialised and mu
-    is (mu, ()).
+    The translation annihilates the cubic coefficient of alpha.  The
+    returned equations reuse the symbols b, c for the shifted linear and
+    quadratic coefficients, and mu is (-d, ((4e, 1),)).  A concrete alpha
+    is a substitution into these symbolic equations.
     """
     if not linear.coeffs[0].is_zero:
         raise ValueError("expected no zeroth-order term before reduction")
-    reduced = LinearODE(linear.var, tuple(linear.coeffs[1:]))
-    if alpha_coeffs is None:
-        mu = (-MPoly.var("d"), ((4 * MPoly.var("e"), 1),))
-        l2 = LinearODE("x", tuple(cf.subs({"d": 0, "x1": MPoly.var("x")})
-                                  for cf in reduced.coeffs)).normalized()
-        nl2 = NonlinearODE("x", nonlinear.poly.subs({"d": 0, "x1": MPoly.var("x")})).normalized()
-        return l2, nl2, mu
-    a = [Fraction(v) for v in alpha_coeffs]
-    if a[4] == 0:
-        raise ValueError("alpha is not quartic: e = 0")
-    mu_val = -a[3] / (4 * a[4])
-    shifted = shift_alpha(a, mu_val)
-    assert shifted[3] == 0
-    values = {"a": shifted[0], "b": shifted[1], "c": shifted[2],
-              "d": Fraction(0), "e": shifted[4], "x1": MPoly.var("x")}
-    l2 = LinearODE("x", tuple(cf.subs(values) for cf in reduced.coeffs)).normalized()
+    mu = (-MPoly.var("d"), ((4 * MPoly.var("e"), 1),))
+    values = {"d": 0, "x1": MPoly.var("x")}
+    l2 = LinearODE("x", tuple(cf.subs(values) for cf in linear.coeffs[1:])).normalized()
     nl2 = NonlinearODE("x", nonlinear.poly.subs(values)).normalized()
-    return l2, nl2, (MPoly.const(mu_val), ())
+    return l2, nl2, mu
 
 
 def generic_quartic_system() -> Tuple[LinearODE, NonlinearODE]:
@@ -323,19 +283,26 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
                     anchor: Optional[Tuple[int, ...]] = None) -> SolutionBasis:
     """Rational solutions y = P(x) / (x^p * denom^exponent), deg P bounded.
 
-    The ansatz system is solved by one fraction-free elimination over the
-    parameter ring, whose back-substitution returns polynomial kernel
-    vectors proportional to the reduced echelon form with respect to its
-    free columns; each numerator is divided by its content in the
-    parameters.  The columns are ordered non-anchor first (ascending),
-    then `anchor` (numerator coefficient positions), so a valid anchor
-    becomes exactly the free columns; an anchor that does not is singular
-    on the kernel and is rejected.  With `anchor=None` the columns are
-    eliminated in reversed order, which makes the free columns the
-    lexicographically first valid anchor.  Every
-    returned numerator is an integer-primitive polynomial whose anchor
-    coordinate has positive sign, and its residual in the equation is
-    re-checked to be identically zero.
+    The residual of the ansatz is split once over (x, p0..pn); each x-power
+    is one equation row, and a term that is not linear and homogeneous in
+    the p_i is an error.  The system is solved by one fraction-free
+    elimination over the parameter ring, whose back-substitution returns
+    polynomial kernel vectors: D times the reduced echelon form with
+    respect to the free columns, D the last pivot (Bareiss 1968), so the
+    parameter content of each vector divides D.  Each numerator is divided
+    by its monomial content, the componentwise minimum of its parameter
+    exponents.  On the three branches that is the whole content; a
+    non-monomial remainder would stay in the numerators and reach the
+    Wronskian, which `degeneration_branches` then reports as incomplete.
+
+    The columns are ordered non-anchor first (ascending), then `anchor`
+    (numerator coefficient positions), so a valid anchor becomes exactly
+    the free columns; an anchor that does not is singular on the kernel
+    and is rejected.  With `anchor=None` the columns are eliminated in
+    reversed order, which makes the free columns the lexicographically
+    first valid anchor.  Every returned numerator is an integer-primitive
+    polynomial whose anchor coordinate has positive sign, and its residual
+    in the equation is re-checked to be identically zero.
     """
     x = ode.var
     n_unknowns = numerator_degree_bound + 1
@@ -343,13 +310,13 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     P = sum((MPoly.var(u) * MPoly.var(x, i) for i, u in enumerate(unames)),
             MPoly.zero())
     factors = _pole_factors(x, denom, denom_exponent, extra_pole_order)
-    rows_by_power = _residual_parts(ode, P, factors)[0].collect(x)
-    eq_rows = []
-    for k in sorted(rows_by_power, reverse=True):
-        poly = rows_by_power[k]
-        row = [poly.coefficient(u, 1).subs({w: 0 for w in unames if w in poly.vars})
-               for u in unames]
-        eq_rows.append(row)
+    rows_by_power: Dict[int, List[MPoly]] = {}
+    for (k, *unit), coeff in _residual_parts(ode, P, factors)[0].split([x] + unames).items():
+        if sum(unit) != 1:
+            raise ValueError("ansatz residual is not linear and homogeneous in the unknowns")
+        row = rows_by_power.setdefault(k, [MPoly.zero()] * n_unknowns)
+        row[unit.index(1)] = coeff
+    eq_rows = [rows_by_power[k] for k in sorted(rows_by_power, reverse=True)]
     if anchor is None:
         order = list(range(n_unknowns - 1, -1, -1))
     else:
@@ -375,7 +342,7 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     nums = []
     for vec, col in zip(kernel, anchor):
         poly = sum((v * MPoly.var(x, i) for v, i in zip(vec, order)), MPoly.zero())
-        poly = (poly / content_wrt(poly, x)).primitive()
+        poly = (poly / poly.monomial_content(x)).primitive()
         if poly.coefficient(x, col).leading()[1] < 0:
             poly = -poly
         nums.append(poly)
@@ -395,32 +362,30 @@ class DegenerationReport:
 def degeneration_branches(basis: SolutionBasis) -> DegenerationReport:
     """Parameter components where the basis stops being fundamental.
 
-    The x-coefficients of the numerator Wronskian are scanned: their common
-    content supplies coordinate-hyperplane components {param = 0}, and the
-    report is `complete` when some content-free coefficient is a pure power
-    of e (so that, given e != 0, no further component exists).
+    M is the monomial content of the numerator Wronskian in the parameters;
+    each v != e that occurs in M gives a component {v = 0}.  The report is
+    `complete` when some x-coefficient of the Wronskian is a single term,
+    M times a constant times a power of e: then the gcd of the coefficients
+    is exactly M, so given e != 0 no further component exists.  Otherwise
+    (a content such as b (b + c), or a coefficient such as e + 3) it is
+    incomplete.
     """
     if not basis.numerators:
         raise ValueError("empty basis has no Wronskian")
     w = basis.numerator_wronskian()
     if w.is_zero:
         raise ValueError("Wronskian is identically zero: not a fundamental system")
-    coeffs = [p for p in w.collect(basis.var).values() if not p.is_zero]
-    content = coeffs[0]
-    for cf in coeffs[1:]:
-        content = poly_gcd(content, cf)
-    found = []
-    for v in content.vars:
-        if v == "e" or v == basis.var:
-            continue
-        if all(e[content.vars.index(v)] >= 1 for e in content.terms):
-            found.append(v)
-    reduced = [exact_div(cf, content) for cf in coeffs]
-    complete = any(set(rc.vars) <= {"e"} for rc in reduced)
+    content = w.monomial_content(basis.var)
+
+    def off_e(monomial: MPoly) -> List[Tuple[str, int]]:
+        return [(v, k) for v, k in zip(monomial.vars, next(iter(monomial.terms))) if v != "e"]
+
+    complete = any(len(cf.terms) == 1 and off_e(cf) == off_e(content)
+                   for cf in w.collect(basis.var).values())
     branches = tuple(Branch(f"{v}_zero", {v: Fraction(0)},
                             tuple(p for p in ("b", "c", "e") if p != v))
-                     for v in sorted(found))
-    return DegenerationReport(branches, content.primitive(), complete)
+                     for v in sorted(content.vars) if v != "e")
+    return DegenerationReport(branches, content, complete)
 
 
 def _pole_factors(var: str, denom: MPoly, exponent: int,
@@ -497,10 +462,7 @@ def _residual_parts(ode: Union[LinearODE, NonlinearODE], num: MPoly,
         groups = {tuple(int(i == j) for i in range(ode.order + 1)): cf
                   for j, cf in enumerate(ode.coeffs) if not cf.is_zero}
     else:
-        groups = {(d0, d1, d2): p2
-                  for d0, p0 in ode.poly.collect("y").items()
-                  for d1, p1 in p0.collect("yp").items()
-                  for d2, p2 in p1.collect("ypp").items()}
+        groups = ode.poly.split(Y_JETS)
     weights = {jets: (sum(jets), sum(j * d for j, d in enumerate(jets))) for jets in groups}
     K = tuple(max(k * deg + shift for deg, shift in weights.values()) for _, k in factors)
     nums = _jet_numerators(num, factors, ode.var, max(len(jets) for jets in groups) - 1)

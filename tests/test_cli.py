@@ -165,10 +165,17 @@ class TestVerify:
     def test_json_flag_with_path(self, capsys, tmp_path):
         out_path = tmp_path / "cert2.json"
         code, out = run(capsys, "verify-quartic", "--trials", "1",
-                        "--json", str(out_path))
+                        "--json", "--out", str(out_path))
         assert code == 1
-        assert json.loads(out)["command"] == "verify-quartic"
-        assert json.loads(out_path.read_text())["seed"] == 0
+        report = json.loads(out)
+        assert report["command"] == "verify-quartic"
+        assert json.loads(out_path.read_text()) == report["result"]
+
+    def test_json_takes_no_path(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-quartic", "--trials", "1", "--json", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "c.json").exists()
 
     def test_deterministic_json(self, capsys):
         _, out1 = run(capsys, "verify-quartic", "--trials", "1", "--seed", "3", "--json")
@@ -289,6 +296,59 @@ def test_help_schema(capsys):
     schemas = json.loads(out)
     assert set(schemas) == {"conditions", "classify", "derive-odes", "kernel",
                             "verify-quartic", "simulate", "degree-test"}
+
+
+def _schema_mismatches(value, schema, path="result"):
+    """Paths where a report's keys differ from its schema; a schema key
+    ending in "?" may be absent, and a string schema accepts any value."""
+    if isinstance(schema, list):
+        return [m for i, item in enumerate(value)
+                for m in _schema_mismatches(item, schema[0], f"{path}[{i}]")]
+    if not isinstance(schema, dict):
+        return []
+    fields = {k.rstrip("?"): sub for k, sub in schema.items()}
+    required = {k for k in schema if not k.endswith("?")}
+    out = [f"{path}: unexpected key {k}" for k in sorted(set(value) - set(fields))]
+    out += [f"{path}: missing key {k}" for k in sorted(required - set(value))]
+    return out + [m for k in sorted(set(value) & set(fields))
+                  for m in _schema_mismatches(value[k], fields[k], f"{path}.{k}")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--degree", "4", "--format", "json"],
+    ["classify", "--potential", "1 + (x1^4+x1)*x2^2", "--json"],
+    ["derive-odes", "--json"],
+    ["kernel", "--case", "b0", "--json"],
+    ["verify-quartic", "--trials", "1", "--json"],
+    ["verify-quartic", "--trials", "1", "--degree-bound", "4", "--json"],
+    ["simulate", "--potential", "1 + (x1^4+1)*x2^2", "--init", "0.5,1,0,0",
+     "--T", "1", "--degree-test", "4", "--json"],
+    ["degree-test", "--potential", "1 + (x1^4+1)*x2^2", "--degree", "4",
+     "--init", "0.4,1.1", "--T", "1", "--json"],
+])
+def test_reports_match_their_schema(capsys, argv):
+    from quartic_nve.cli import REPORT_SCHEMAS
+    _, out = run(capsys, *argv)
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert _schema_mismatches(report["result"], REPORT_SCHEMAS[argv[0]]["result"]) == []
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv, exit_code", [
+    ("verify_trials20_seed0.json",
+     ["verify-quartic", "--trials", "20", "--seed", "0", "--json"], 1),
+    ("kernel_generic.json", ["kernel", "--case", "generic", "--json"], 0),
+    ("kernel_b0.json", ["kernel", "--case", "b0", "--json"], 0),
+    ("kernel_c0.json", ["kernel", "--case", "c0", "--json"], 0),
+])
+def test_golden_stdout(capsys, name, argv, exit_code):
+    """Byte-for-byte stdout, transcript digests included."""
+    code, out = run(capsys, *argv)
+    assert code == exit_code
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_no_command_is_usage_error(capsys):

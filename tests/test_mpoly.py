@@ -38,6 +38,42 @@ class TestDiff:
         assert poly_diff(p, "x") == b - 32 * e * x ** 3
 
 
+class TestSplit:
+    def test_reassembles_random_polynomials(self):
+        # sum over the split of coefficient * monomial gives the polynomial
+        # back, and collect is the one-variable case of the split
+        rng = random.Random(5)
+        for _ in range(30):
+            p = rand_poly(rng, vars=("x", "b", "c", "e"))
+            for names in (("x",), ("x", "c"), ("e", "b"), ("K1", "x")):
+                parts = p.split(names)
+                back = MPoly.zero()
+                for exps, coeff in parts.items():
+                    assert not coeff.is_zero
+                    assert not set(coeff.vars) & set(names)
+                    for v, k in zip(names, exps):
+                        coeff = coeff * MPoly.var(v, k)
+                    back = back + coeff
+                assert back == p
+            assert p.collect("c") == {k: q for (k,), q in p.split(("c",)).items()}
+
+    def test_absent_variable_and_zero(self):
+        assert (b * x).split(("x", "K1")) == {(1, 0): b}
+        assert MPoly.zero().split(("x",)) == {}
+        assert MPoly.const(3).collect("x") == {0: MPoly.const(3)}
+
+
+class TestMonomialContent:
+    def test_minimum_exponents_outside_the_main_variable(self):
+        p = 3 * b ** 2 * c * e * x ** 2 - 6 * b ** 3 * c ** 2 * e * x
+        assert p.monomial_content("x") == b ** 2 * c * e
+        assert (p / p.monomial_content("x")).monomial_content("x") == MPoly.const(1)
+
+    def test_non_monomial_content_is_not_found(self):
+        # (b + c) divides every coefficient, but no monomial does
+        assert ((b + c) * (x + e)).monomial_content("x") == MPoly.const(1)
+
+
 class TestGcd:
     def test_linear_factor(self):
         assert poly_gcd(x ** 2 - 1, x ** 2 - 2 * x + 1) == x - 1

@@ -12,8 +12,8 @@ from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, LinearODE, NonlinearODE,
                               SolutionBasis, _jet_numerators, _product,
                               ansatz_denominator, branch_system, cancel,
                               center_and_reduce, degeneration_branches,
-                              generic_quartic_system, rational_kernel, residual,
-                              shift_alpha, solves, specialize_quartic,
+                              generic_quartic_system, quartic_alpha, rational_kernel,
+                              residual, solves, specialize_quartic,
                               DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
 
 x = MPoly.var("x")
@@ -84,36 +84,44 @@ class TestSpecializeQuartic:
         assert set(nonlinear.normalized().poly.terms) == set(
             NonlinearODE("x1", published).normalized().poly.terms)
 
-    def test_e_zero_rejected(self):
-        cond = generate_conditions(4)
-        with pytest.raises(ValueError):
-            specialize_quartic(cond, (0, 1, 2, 3, 0))
-
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
             specialize_quartic(generate_conditions(2))
 
 
-class TestCenterAndReduce:
-    def test_binomial_shift(self):
-        # alpha = (x1 - 1)^4: the translation by mu = 1 recenters to x^4
-        coeffs = (1, -4, 6, -4, 1)
-        cond = generate_conditions(4)
-        lin, non = specialize_quartic(cond, coeffs)
-        _, _, (mu, pole) = center_and_reduce(lin, non, coeffs)
-        assert mu == _product(pole)
-        assert shift_alpha(coeffs, Fraction(1)) == (0, 0, 0, 0, 1)
+def _at(ode, point):
+    """A linear equation with the substitution applied to every coefficient."""
+    return LinearODE(ode.var, tuple(cf.subs(point) for cf in ode.coeffs)).normalized()
 
-    def test_already_centered(self):
-        coeffs = (2, 3, 5, 0, 7)
-        cond = generate_conditions(4)
-        lin, non = specialize_quartic(cond, coeffs)
-        l2, _, (mu, _) = center_and_reduce(lin, non, coeffs)
-        assert mu.is_zero
-        generic_l2 = center_and_reduce(*specialize_quartic(cond))[0]
-        specialized = LinearODE("x", tuple(
-            cf.subs({"b": 3, "c": 5, "e": 7}) for cf in generic_l2.coeffs)).normalized()
-        assert l2.coeffs == specialized.coeffs
+
+def _centered_point(coeffs):
+    """mu = -d/(4e) and the (b, c, e) of alpha(x + mu), alpha from coeffs."""
+    mu = -Fraction(coeffs[3]) / (4 * coeffs[4])
+    shifted = quartic_alpha("x1").subs({**dict(zip("abcde", coeffs)),
+                                        "x1": x + MPoly.const(mu)})
+    assert shifted.coefficient("x", 3).is_zero
+    return mu, {v: shifted.coefficient("x", k).constant_value()
+                for v, k in (("b", 1), ("c", 2), ("e", 4))}
+
+
+class TestCenterAndReduce:
+    def test_binomial_shift(self, quartic_system):
+        # alpha = (x1 - 1)^4: the translation by mu = 1 recenters to x^4, and
+        # the uncentered equation at x1 = x + 1 is L2 at (b, c, e) = (0, 0, 1)
+        _, linear, _, l2, _, (mu, pole) = quartic_system
+        coeffs = (1, -4, 6, -4, 1)
+        point = dict(zip("abcde", coeffs))
+        assert mu.subs(point) == _product(pole).subs(point)
+        assert _centered_point(coeffs) == (1, {"b": 0, "c": 0, "e": 1})
+        moved = _at(LinearODE("x", linear.coeffs[1:]), {**point, "x1": x + 1})
+        assert moved.coeffs == _at(l2, {"b": 0, "c": 0, "e": 1}).coeffs
+
+    def test_already_centered(self, quartic_system):
+        _, linear, _, l2, _, (mu, _) = quartic_system
+        point = dict(zip("abcde", (2, 3, 5, 0, 7)))
+        assert mu.subs(point).is_zero
+        moved = _at(LinearODE("x", linear.coeffs[1:]), {**point, "x1": x})
+        assert moved.coeffs == _at(l2, {"b": 3, "c": 5, "e": 7}).coeffs
 
     def test_symbolic_shift(self, quartic_system):
         # mu = -d / (4e), cross-multiplied
@@ -296,6 +304,13 @@ class TestRationalKernel:
         with pytest.raises(ValueError, match="kernel dimension 1"):
             rational_kernel(lb, denom, 3, pole, 4, anchor=BRANCH_ANCHORS["b_zero"])
 
+    def test_unknown_name_in_coefficients_rejected(self):
+        # a coefficient using the ansatz unknown's name p0 makes the residual
+        # quadratic in the unknowns
+        ode = LinearODE("x", (MPoly.var("p0"), MPoly.const(1)))
+        with pytest.raises(ValueError, match="not linear and homogeneous"):
+            rational_kernel(ode, MPoly.const(1), 1, 0, 2)
+
     def test_empty_kernel_reported(self):
         # y' + y = 0 has no rational solutions: empty basis, not an error
         ode = LinearODE("x", (MPoly.const(1), MPoly.const(1)))
@@ -394,6 +409,39 @@ class TestDegeneration:
                   "e": Fraction(rng.choice([1, -2, 5]))}
             assert w.subs(pt).is_zero
 
+    def test_non_monomial_content_is_incomplete(self):
+        # numerator Wronskian b (b + c): only {b = 0} is read off the
+        # monomial content, so the report must not claim completeness
+        basis = SolutionBasis("x", MPoly.const(1), 1, 0,
+                              (MPoly.const(1), x, b * (b + c) * x ** 2 / 2), (0, 1, 2))
+        assert basis.numerator_wronskian() == b * (b + c)
+        report = degeneration_branches(basis)
+        assert [br.name for br in report.branches] == ["b_zero"]
+        assert report.complete is False
+
+    def test_non_monomial_e_coefficient_is_incomplete(self):
+        # numerator Wronskian (e + 3) x + b: e + 3 is free of b and c but
+        # vanishes at e = -3, so no coefficient certifies completeness
+        basis = SolutionBasis("x", MPoly.const(1), 1, 0,
+                              (MPoly.const(1), x,
+                               (e + 3) * x ** 3 / 6 + b * x ** 2 / 2), (0, 1, 2))
+        assert basis.numerator_wronskian() == (e + 3) * x + b
+        report = degeneration_branches(basis)
+        assert report.branches == ()
+        assert report.complete is False
+
+    def test_single_term_coefficient_certifies_content(self):
+        # Wronskian b c e^2 x + b^2 c e: monomial content b c e, and the
+        # x-coefficient b c e^2 is that content times a power of e
+        basis = SolutionBasis("x", MPoly.const(1), 1, 0,
+                              (MPoly.const(1), x,
+                               b * c * e ** 2 * x ** 3 / 6 + b ** 2 * c * e * x ** 2 / 2),
+                              (0, 1, 2))
+        report = degeneration_branches(basis)
+        assert report.content == b * c * e
+        assert [br.name for br in report.branches] == ["b_zero", "c_zero"]
+        assert report.complete is True
+
     def test_zero_wronskian_rejected(self):
         dep = SolutionBasis("x", MPoly.const(1), 1, 0,
                             (x, 2 * x, x ** 2), (0, 1, 2))
@@ -413,14 +461,11 @@ class TestOrderReduction:
                       Fraction(rng.randint(-3, 3)),
                       Fraction(rng.randint(1, 3)),
                       Fraction(rng.randint(1, 3)))
-            lin_n, non_n = specialize_quartic(cond, coeffs)
-            mu = -coeffs[3] / (4 * coeffs[4])
-            shifted = shift_alpha(coeffs, mu)
+            mu, subs = _centered_point(coeffs)
             # centered kernel at the shifted parameter values
-            subs = {"b": shifted[1], "c": shifted[2], "e": shifted[4]}
             gen_basis = FROZEN_BASES["generic"]
             denom = (4 * e * x ** 3 + 2 * c * x + b).subs(subs)
-            reduced = LinearODE("x1", tuple(lin_n.coeffs[1:]))
+            reduced = _at(LinearODE("x1", linear.coeffs[1:]), dict(zip("abcde", coeffs)))
             for num in gen_basis:
                 spec_num = num.subs(subs)
                 if spec_num.is_zero:
