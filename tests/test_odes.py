@@ -453,7 +453,7 @@ class TestOrderReduction:
     def test_shifted_solutions_solve_uncentered_equation(self, quartic_system):
         # y(x) solves the centered system iff y(x1 - mu) solves the original
         # reduced equation; verified at random rational parameter points
-        cond, linear, _, l2, _, _ = quartic_system
+        _, linear, _, _, _, _ = quartic_system
         rng = random.Random(31)
         for _ in range(3):
             coeffs = (Fraction(rng.randint(-3, 3)),
