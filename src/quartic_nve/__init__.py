@@ -6,8 +6,8 @@ from .mpoly import MPoly, Rational, poly_diff, poly_gcd, resultant
 from .jets import (EnkTable, DiffCondition, enk_table, generate_conditions,
                    lie_derivative, pullback_condition)
 from .odes import (Branch, LinearODE, NonlinearODE, SolutionBasis,
-                   center_and_reduce, degeneration_branches, rational_kernel,
-                   residual, specialize_quartic)
+                   center_and_reduce, degeneration_branches, rational_basis,
+                   rational_kernel, residual, specialize_quartic)
 from .certify import (Certificate, QuadraticForm, build_Q, conic_incompatibility,
                       extract_forms, verify_quartic_theorem)
 from .potential import Potential, format_canonical, parse_potential

@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Callable
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, exact_div, poly_gcd
 from .odes import (BRANCHES, BRANCH_ANCHORS, Branch, NonlinearODE, SolutionBasis,
-                   _product, _residual_parts, ansatz_denominator, branch_system,
-                   degeneration_branches, generic_quartic_system, rational_kernel,
+                   _product, _residual_parts, branch_system, degeneration_branches,
+                   generic_quartic_system, rational_basis,
                    DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
 
 K_VARS = ("K1", "K2", "K3")
@@ -385,7 +385,6 @@ EXPECTED_DEGENERATIONS = {
 
 
 def verify_quartic_theorem(trials: int = 20, seed: int = 0,
-                           degree_bound: int = 8,
                            nl2_transform: Optional[Callable[[NonlinearODE], NonlinearODE]] = None
                            ) -> Certificate:
     """Run the full pipeline and certify the classification branch by branch.
@@ -416,10 +415,8 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0,
     branch_certs: List[BranchCertificate] = []
     for branch in BRANCHES:
         lb, nb = branch_system(branch, (l2, nl2))
-        denom, pole = ansatz_denominator(lb)
         try:
-            basis = rational_kernel(lb, denom, 3, pole, degree_bound,
-                                    anchor=BRANCH_ANCHORS[branch.name])
+            basis = rational_basis(lb, BRANCH_ANCHORS[branch.name])
         except Exception as exc:
             return fail(f"kernel[{branch.name}]", str(exc))
         if basis.dimension != 3:

@@ -20,9 +20,8 @@ from .dynamics import (NumericPotential, integrate_hamilton,
                        nve_coefficient_samples, polynomial_degree_test)
 from .jets import generate_conditions, nve_jet, pullback_condition
 from .mpoly import MPoly
-from .odes import (BRANCHES, BRANCH_ANCHORS, ansatz_denominator, branch_system,
-                   center_and_reduce, generic_quartic_system, quotient_text,
-                   rational_kernel, specialize_quartic)
+from .odes import (BRANCHES, BRANCH_ANCHORS, branch_system, center_and_reduce,
+                   quotient_text, rational_basis, specialize_quartic)
 from .potential import InvariantPlaneError, ParseError, format_canonical, parse_potential
 
 # a key ending in "?" names a field that only some reports carry
@@ -50,7 +49,7 @@ REPORT_SCHEMAS = {
     "kernel": {
         "result": {"case": "generic|b0|c0", "dimension": "int",
                    "denominator": "text", "denominator_exponent": "int",
-                   "extra_pole_order": "int",
+                   "extra_pole_order": "int", "numerator_degree_bound": "int",
                    "numerators": ["text"], "wronskian": "text"},
     },
     "verify-quartic": {
@@ -92,6 +91,18 @@ def _emit(report: dict, as_json: bool, text_lines: Optional[Sequence[str]] = Non
             print(line)
 
 
+def _write(path: str, dump) -> bool:
+    """Call dump(fh) on path opened for writing; on an OS error print an
+    error line and return False."""
+    try:
+        with open(path, "w", newline="") as fh:
+            dump(fh)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_conditions(args) -> int:
     if args.degree < 0:
         print("error: --degree must be non-negative", file=sys.stderr)
@@ -100,10 +111,10 @@ def _cmd_conditions(args) -> int:
     payload = {"degree": cond.degree,
                "conditions": [{"n": n, "k": k, "jet_poly": p.to_text()}
                               for (n, k, p) in cond.conditions]}
-    report = _report("conditions", {"degree": args.degree, "format": args.format}, payload)
+    report = _report("conditions", {"degree": args.degree}, payload)
     lines = [f"conditions for NVE coefficient degree <= {args.degree}:"]
     lines += [f"  E({n},{k}) = {p.to_text()} = 0" for (n, k, p) in cond.conditions]
-    _emit(report, args.format == "json", lines)
+    _emit(report, args.json, lines)
     return 0
 
 
@@ -174,26 +185,18 @@ _CASE_TO_BRANCH = {"generic": "generic", "b0": "b_zero", "c0": "c_zero"}
 
 
 def _cmd_kernel(args) -> int:
-    if args.degree_bound < 0:
-        print("error: --degree-bound must be non-negative", file=sys.stderr)
-        return 2
     branch = next(b for b in BRANCHES if b.name == _CASE_TO_BRANCH[args.case])
-    lb, _ = branch_system(branch, generic_quartic_system())
-    denom, pole = ansatz_denominator(lb)
-    try:
-        basis = rational_kernel(lb, denom, 3, pole, args.degree_bound,
-                                anchor=BRANCH_ANCHORS[branch.name])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lb, _ = branch_system(branch)
+    basis = rational_basis(lb, BRANCH_ANCHORS[branch.name])
     payload = {"case": args.case,
                "dimension": basis.dimension,
                "denominator": basis.denominator.to_text(),
                "denominator_exponent": basis.denominator_exponent,
                "extra_pole_order": basis.extra_pole_order,
+               "numerator_degree_bound": basis.numerator_degree_bound,
                "numerators": [n.to_text() for n in basis.numerators],
                "wronskian": quotient_text(*basis.wronskian())}
-    report = _report("kernel", {"case": args.case, "degree_bound": args.degree_bound}, payload)
+    report = _report("kernel", {"case": args.case}, payload)
     lines = [f"case {args.case}: kernel dimension {basis.dimension}",
              f"  common denominator: "
              + (f"x^{basis.extra_pole_order} * " if basis.extra_pole_order else "")
@@ -208,21 +211,15 @@ def _cmd_verify(args) -> int:
     if args.trials < 0:
         print("error: --trials must be non-negative", file=sys.stderr)
         return 2
-    if args.degree_bound < 0:
-        print("error: --degree-bound must be non-negative", file=sys.stderr)
-        return 2
-    cert = verify_quartic_theorem(trials=args.trials, seed=args.seed,
-                                  degree_bound=args.degree_bound)
+    cert = verify_quartic_theorem(trials=args.trials, seed=args.seed)
     payload = cert.to_json_dict()
-    report = _report("verify-quartic",
-                     {"trials": args.trials, "seed": args.seed,
-                      "degree_bound": args.degree_bound},
+    report = _report("verify-quartic", {"trials": args.trials, "seed": args.seed},
                      payload,
                      status="ok" if cert.status == "ok" else "fail",
                      stage=cert.failing_stage)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    if args.out and not _write(args.out,
+                               lambda fh: json.dump(payload, fh, indent=2, sort_keys=True)):
+        return 2
     lines = [f"status: {cert.status}" + (f" ({cert.failing_stage})" if cert.failing_stage else "")]
     for b in cert.branches:
         lines.append(f"  branch {b.branch.name}: deg_x Q = {b.q_degree}, "
@@ -238,6 +235,13 @@ def _parse_floats(text: str, n: int, what: str):
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma-separated numbers")
     return [float(p) for p in parts]
+
+
+def _write_trajectory(fh, traj) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["t", "x1", "y1", "x2", "y2", "H"])
+    for t, s, h in zip(traj.times, traj.states, traj.energies):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in s] + [repr(float(h))])
 
 
 def _cmd_simulate(args) -> int:
@@ -275,13 +279,8 @@ def _cmd_simulate(args) -> int:
         payload["degree_test"] = {"degree": args.degree_test, "pass": ok,
                                    "residual": residual}
         exit_code = 0 if ok else 1
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x1", "y1", "x2", "y2", "H"])
-            for t, s, h in zip(traj.times, traj.states, traj.energies):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in s]
-                                + [repr(float(h))])
+    if args.out and not _write(args.out, lambda fh: _write_trajectory(fh, traj)):
+        return 2
     if traj.diverged:
         status = "fail"
         exit_code = 1
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditions", help="emit the degree-d jet conditions")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_conditions)
 
     p = sub.add_parser("classify", help="test a potential for family membership")
@@ -355,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="rational solution basis per branch")
     p.add_argument("--case", choices=("generic", "b0", "c0"), required=True)
-    p.add_argument("--degree-bound", type=int, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("verify-quartic", help="run the full certification pipeline")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree-bound", type=int, default=8)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default="",
                    help="write the certificate JSON to this path")

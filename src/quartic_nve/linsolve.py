@@ -20,14 +20,14 @@ def _forward_eliminate(rows: List[list]):
     """Fraction-free (Bareiss) row echelon reduction.
 
     Returns (echelon rows, pivot (row, col) list, row-swap sign).  Every
-    division is exact (Sylvester's identity); entries below a pivot are left
-    as they were.
+    division is by the previous pivot and exact (Sylvester's identity); the
+    first step has none.  Entries below a pivot are left as they were.
     """
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     a = [list(r) for r in rows]
     pivots: List[Tuple[int, int]] = []
-    prev = 1
+    prev = None
     sign = 1
     r = 0
     for col in range(ncols):
@@ -41,7 +41,8 @@ def _forward_eliminate(rows: List[list]):
         pivots.append((r, col))
         for i in range(r + 1, m):
             for j in range(col + 1, ncols):
-                a[i][j] = (a[i][j] * piv - a[i][col] * a[r][j]) / prev
+                cross = a[i][j] * piv - a[i][col] * a[r][j]
+                a[i][j] = cross if prev is None else cross / prev
         prev = piv
         r += 1
         if r == m:

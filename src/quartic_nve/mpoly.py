@@ -512,6 +512,12 @@ def _content_wrt(p: MPoly, var: str) -> MPoly:
     return g
 
 
+def _div(p: MPoly, d: MPoly) -> MPoly:
+    """exact_div(p, d), skipped when d is 1 (a trivial content or the first
+    subresultant step)."""
+    return p if d == 1 else exact_div(p, d)
+
+
 def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
     """GCD via subresultant pseudo-remainder sequences with recursive content.
 
@@ -534,8 +540,8 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         return poly_gcd(p, _content_wrt(q, main))
     cont_p, cont_q = _content_wrt(p, main), _content_wrt(q, main)
     cont = poly_gcd(cont_p, cont_q) if not (cont_p.is_constant() and cont_q.is_constant()) else MPoly.const(1)
-    f = [exact_div(c, cont_p) for c in _coeff_list(p, main)]
-    g = [exact_div(c, cont_q) for c in _coeff_list(q, main)]
+    f = [_div(c, cont_p) for c in _coeff_list(p, main)]
+    g = [_div(c, cont_q) for c in _coeff_list(q, main)]
     if len(f) < len(g):
         f, g = g, f
     h = MPoly.const(1)
@@ -549,11 +555,11 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
             g = [MPoly.const(1)]
             break
         denom_poly = s * h ** delta
-        f, g = g, [exact_div(c, denom_poly) for c in r]
+        f, g = g, [_div(c, denom_poly) for c in r]
         s = f[-1]
-        h = exact_div(s ** delta, h ** (delta - 1)) if delta > 0 else h
+        h = _div(s ** delta, h ** (delta - 1)) if delta > 0 else h
     result = _poly_from_coeffs(g, main)
-    pp = exact_div(result, _content_wrt(result, main))
+    pp = _div(result, _content_wrt(result, main))
     return (cont * pp).primitive()
 
 

@@ -16,16 +16,19 @@ equation above, and the toolkit treats the derived equation as authoritative
 (the discrepancy is recorded in certificates; see `PUBLISHED_NL_WEIGHTS`).
 
 Rational solution bases for (L2) and its b = 0 / c = 0 specialisations are
-found by a bounded denominator ansatz and normalised to reduced echelon form
-with respect to fixed numerator-coefficient anchors, which reproduces the
-classical bases together with their degeneration loci.
+found in an ansatz read off the indicial equations of (L2) (pole orders at
+the roots of alpha', numerator degree at infinity; Abramov 1989) and
+normalised to reduced echelon form with respect to fixed numerator-coefficient
+anchors, which reproduces the classical bases together with their
+degeneration loci.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import isqrt
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet
 from .linsolve import matrix_kernel
@@ -112,12 +115,14 @@ def _joint_primitive_scale(polys: Sequence[MPoly]) -> Fraction:
 
 @dataclass(frozen=True)
 class SolutionBasis:
-    """Rational kernel y_i = numerators[i] / (x^p * denominator^exponent)."""
+    """Rational kernel y_i = numerators[i] / (x^p * denominator^exponent),
+    solved for numerators of degree at most numerator_degree_bound."""
 
     var: str
     denominator: MPoly
     denominator_exponent: int
     extra_pole_order: int
+    numerator_degree_bound: int
     numerators: Tuple[MPoly, ...]
     anchor: Tuple[int, ...]
 
@@ -264,22 +269,97 @@ def branch_system(branch: Branch,
             NonlinearODE(nl2.var, nl2.poly.subs(subs)).normalized())
 
 
-def ansatz_denominator(ode: LinearODE) -> Tuple[MPoly, int]:
-    """Square-free-style pole data from the leading coefficient.
+class Ansatz(NamedTuple):
+    """y = P(x) / (x^p * denominator^exponent) with deg P <= numerator_degree_bound,
+    in the order of `rational_kernel`'s arguments."""
 
-    Returns (denominator, extra_pole_order): the x-free-part of the leading
-    coefficient (primitive) and p = 3 when x divides it, else p = 0.
+    denominator: MPoly
+    exponent: int
+    extra_pole_order: int
+    numerator_degree_bound: int
+
+
+def derive_ansatz(ode: LinearODE) -> Ansatz:
+    """The shape of every rational solution, read off the indicial equations.
+
+    At a simple root of the leading coefficient c_n the exponents are
+    0, ..., n - 2 and n - 1 - c_{n-1}/c_n'.  The last one must be the same at
+    every root, so c_{n-1} = lam * c_n' for a constant lam is required; when
+    it is a negative integer -m, m is the pole order.  The roots are x = 0
+    when x divides c_n, which must then be simple (else ValueError), and
+    those of the x-free part D of c_n, which are taken to be simple (D is
+    square-free over the parameters on every branch): the denominator is
+    x^m D^m, or D^m without the x-factor.  At infinity y ~ x^k makes the
+    terms of largest deg c_j - j lead with sum lc(c_j) k (k - 1) ... (k - j + 1),
+    so k is an integer root of that polynomial and deg P <= deg(x^m D^m) plus
+    the largest such root (Abramov 1989).
     """
+    x, n = ode.var, ode.order
     lead = ode.coeffs[-1]
-    p = 0
-    while lead.coefficient(ode.var, 0).is_zero:
-        lead = exact_div(lead, MPoly.var(ode.var))
-        p += 1
-    return lead.primitive(), (3 if p else 0)
+    x_mult = 0
+    while lead.coefficient(x, 0).is_zero:
+        lead = exact_div(lead, MPoly.var(x))
+        x_mult += 1
+    if x_mult > 1:
+        raise ValueError(f"{x}^{x_mult} divides the leading coefficient; "
+                         "the ansatz needs simple roots")
+    denom = lead.primitive()
+    pole = 0
+    if x_mult or denom.degree(x) > 0:
+        try:
+            lam = exact_div(ode.coeffs[-2], ode.coeffs[-1].diff(x))
+        except ValueError:
+            lam = None
+        if lam is None or not lam.is_constant():
+            raise ValueError("the root exponent n - 1 - c_{n-1}/c_n' is not "
+                             "the same at every root")
+        m = lam.constant_value() - (n - 1)
+        pole = int(m) if m.denominator == 1 and m > 0 else 0
+    k = MPoly.var("k")
+    shift = max(cf.degree(x) - j for j, cf in enumerate(ode.coeffs) if cf)
+    indicial = MPoly.zero()
+    for j, cf in enumerate(ode.coeffs):
+        if cf and cf.degree(x) - j == shift:
+            indicial = indicial + cf.coefficient(x, j + shift) * _product(
+                [(k - i, 1) for i in range(j)])
+    k_max = _largest_integer_root(indicial, "k")
+    extra = pole if x_mult else 0
+    bound = -1 if k_max is None else max(extra + pole * denom.degree(x) + k_max, -1)
+    return Ansatz(denom, pole, extra, bound)
 
 
-def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
-                    extra_pole_order: int = 0, numerator_degree_bound: int = 8,
+def _largest_integer_root(poly: MPoly, var: str) -> Optional[int]:
+    """The largest integer r with poly = 0 at var = r identically in its
+    other variables, or None.
+
+    Such an r is a root of the coefficient g(var) of every monomial in the
+    other variables; in one g, made integer-primitive and cleared of its
+    factor var^low, r divides the constant term (rational root theorem).
+    """
+    g = next(iter(poly.split([v for v in poly.vars if v != var]).values()))
+    by_power = g.primitive().collect(var)
+    low = min(by_power)
+    t = abs(int(by_power[low].constant_value()))
+    candidates = {0} if low else set()
+    for d in range(1, isqrt(t) + 1):
+        if t % d == 0:
+            candidates |= {d, -d, t // d, -(t // d)}
+    return max((r for r in candidates if poly.subs({var: r}).is_zero), default=None)
+
+
+def ansatz_denominator(ode: LinearODE) -> Tuple[MPoly, int]:
+    """(denominator, extra_pole_order) of the derived ansatz."""
+    denom, _, extra, _ = derive_ansatz(ode)
+    return denom, extra
+
+
+def rational_basis(ode: LinearODE, anchor: Optional[Tuple[int, ...]] = None) -> SolutionBasis:
+    """The rational solutions of ode, solved in its derived ansatz."""
+    return rational_kernel(ode, *derive_ansatz(ode), anchor=anchor)
+
+
+def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int,
+                    extra_pole_order: int, numerator_degree_bound: int,
                     anchor: Optional[Tuple[int, ...]] = None) -> SolutionBasis:
     """Rational solutions y = P(x) / (x^p * denom^exponent), deg P bounded.
 
@@ -330,7 +410,8 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
                          f"{numerator_degree_bound}, but the anchor {anchor} "
                          f"needs {len(anchor)}")
     if not kernel:
-        return SolutionBasis(x, denom, denom_exponent, extra_pole_order, (), ())
+        return SolutionBasis(x, denom, denom_exponent, extra_pole_order,
+                             numerator_degree_bound, (), ())
     # the vector of free column f is D at f and 0 beyond it, so its last
     # nonzero entry names f; free == anchor iff the anchor block is D times
     # the identity
@@ -349,7 +430,8 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int = 3,
     for p_num in nums:
         if not _residual_parts(ode, p_num, factors)[0].is_zero:
             raise AssertionError("kernel element fails the residual re-check")
-    return SolutionBasis(x, denom, denom_exponent, extra_pole_order, tuple(nums), anchor)
+    return SolutionBasis(x, denom, denom_exponent, extra_pole_order,
+                         numerator_degree_bound, tuple(nums), anchor)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ from quartic_nve.jets import (alpha_jet, enk_table, generate_conditions,
 from quartic_nve.mpoly import MPoly, poly_gcd
 from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, DERIVED_NL_WEIGHTS,
                               PUBLISHED_NL_WEIGHTS, Y_JETS, LinearODE,
-                              NonlinearODE, _product, ansatz_denominator,
-                              branch_system, cancel, center_and_reduce,
-                              degeneration_branches, rational_kernel, residual,
+                              NonlinearODE, _product, branch_system, cancel,
+                              center_and_reduce, degeneration_branches,
+                              rational_basis, residual,
                               specialize_quartic, solves)
 from quartic_nve.potential import parse_potential
 
@@ -72,9 +72,7 @@ def pipeline():
     out = {}
     for br in BRANCHES:
         lb, nb = branch_system(br, (l2, nl2))
-        denom, pole = ansatz_denominator(lb)
-        basis = rational_kernel(lb, denom, 3, pole, 8,
-                                anchor=BRANCH_ANCHORS[br.name])
+        basis = rational_basis(lb, BRANCH_ANCHORS[br.name])
         out[br.name] = (lb, nb, basis)
     return linear, nonlinear, out
 

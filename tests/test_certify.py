@@ -1,5 +1,6 @@
 """Conic extraction, incompatibility verdicts, end-to-end certificates."""
 
+import dataclasses
 import json
 import random
 import time
@@ -16,8 +17,8 @@ from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
 from quartic_nve.jets import generate_conditions
 from quartic_nve.mpoly import MPoly
 from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, NonlinearODE,
-                              ansatz_denominator, branch_system,
-                              center_and_reduce, rational_kernel, solves,
+                              branch_system, center_and_reduce,
+                              rational_basis, solves,
                               specialize_quartic)
 
 x = MPoly.var("x")
@@ -32,9 +33,7 @@ def pipeline():
     out = {}
     for br in BRANCHES:
         lb, nb = branch_system(br, (l2, nl2))
-        denom, pole = ansatz_denominator(lb)
-        basis = rational_kernel(lb, denom, 3, pole, 8,
-                                anchor=BRANCH_ANCHORS[br.name])
+        basis = rational_basis(lb, BRANCH_ANCHORS[br.name])
         q = build_Q(nb, basis)
         out[br.name] = (lb, nb, basis, q, extract_forms(q))
     return out
@@ -119,10 +118,8 @@ class TestBuildQ:
     def test_inexact_clearing_detected(self, pipeline):
         # a basis claiming a pole its numerators do not support leaves an
         # uncleared denominator, which must raise, not truncate
-        from quartic_nve.odes import SolutionBasis
         lb, nb, basis, _, _ = pipeline["generic"]
-        bad = SolutionBasis(basis.var, basis.denominator, 3, 3,
-                            basis.numerators, basis.anchor)
+        bad = dataclasses.replace(basis, extra_pole_order=3)
         with pytest.raises(AssertionError):
             build_Q(nb, bad)
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import quartic_nve
+from quartic_nve import odes
 from quartic_nve.cli import main
 
 
@@ -35,7 +36,7 @@ class TestConditions:
         assert code == 2
 
     def test_json_schema_fields(self, capsys):
-        code, out = run(capsys, "conditions", "--degree", "4", "--format", "json")
+        code, out = run(capsys, "conditions", "--degree", "4", "--json")
         assert code == 0
         data = json.loads(out)
         assert data["status"] == "ok"
@@ -113,15 +114,6 @@ class TestKernel:
         assert data["result"]["dimension"] == dim
         assert len(data["result"]["numerators"]) == dim
 
-    @pytest.mark.parametrize("bound,dim", [("2", 0), ("4", 1), ("5", 2)])
-    def test_degree_bound_too_small_usage_error(self, capsys, bound, dim):
-        code = main(["kernel", "--case", "generic", "--degree-bound", bound])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error:")
-        assert f"kernel dimension {dim}" in captured.err
-        assert captured.out == ""
-
     @pytest.mark.parametrize("case", ["generic", "b0", "c0"])
     def test_wronskian_text(self, capsys, case):
         code, out = run(capsys, "kernel", "--case", case, "--json")
@@ -153,14 +145,20 @@ class TestVerify:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
-    def test_degree_bound_too_small_fails_at_kernel(self, capsys):
-        code, out = run(capsys, "verify-quartic", "--trials", "1",
-                        "--degree-bound", "4", "--json")
+    def test_degree_bound_too_small_fails_at_kernel(self, capsys, monkeypatch):
+        # a numerator bound below the derived 6 leaves one kernel vector
+        derive = odes.derive_ansatz
+        monkeypatch.setattr(odes, "derive_ansatz",
+                            lambda ode: derive(ode)._replace(numerator_degree_bound=4))
+        code, out = run(capsys, "verify-quartic", "--trials", "1", "--json")
         assert code == 1
         data = json.loads(out)
         assert data["status"] == "fail"
         assert data["stage"] == "kernel[generic]"
+        assert data["result"]["failing_stage"] == "kernel[generic]"
         assert "kernel dimension 1" in data["result"]["conclusion"]
+        schema = quartic_nve.cli.REPORT_SCHEMAS["verify-quartic"]["result"]
+        assert _schema_mismatches(data["result"], schema) == []
 
     def test_json_flag_with_path(self, capsys, tmp_path):
         out_path = tmp_path / "cert2.json"
@@ -280,14 +278,28 @@ class TestDegreeTest:
         assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", [["kernel", "--case", "generic"],
+@pytest.mark.parametrize("command", [["kernel", "--case", "b0"],
                                      ["verify-quartic", "--trials", "1"]])
-def test_negative_degree_bound_usage_error(capsys, command):
-    code = main(command + ["--degree-bound", "-1"])
+def test_degree_bound_option_is_gone(capsys, command):
+    # the ansatz is derived from L2, so there is no bound to set
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--degree-bound", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-bound 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-quartic", "--trials", "1"],
+    ["simulate", "--potential", "1 + (x1^4+1)*x2^2", "--init", "0.5,1,0,0", "--T", "0.01"],
+])
+def test_unwritable_out_usage_error(capsys, tmp_path, argv):
+    out_path = tmp_path / "missing" / "out"
+    code = main(argv + ["--out", str(out_path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: --degree-bound must be non-negative\n"
+    assert captured.err.startswith(f"error: cannot write {out_path}:")
     assert captured.out == ""
+    assert not out_path.parent.exists()
 
 
 def test_help_schema(capsys):
@@ -315,12 +327,12 @@ def _schema_mismatches(value, schema, path="result"):
 
 
 @pytest.mark.parametrize("argv", [
-    ["conditions", "--degree", "4", "--format", "json"],
+    ["conditions", "--degree", "4", "--json"],
     ["classify", "--potential", "1 + (x1^4+x1)*x2^2", "--json"],
     ["derive-odes", "--json"],
     ["kernel", "--case", "b0", "--json"],
     ["verify-quartic", "--trials", "1", "--json"],
-    ["verify-quartic", "--trials", "1", "--degree-bound", "4", "--json"],
+    ["verify-quartic", "--trials", "0", "--json"],
     ["simulate", "--potential", "1 + (x1^4+1)*x2^2", "--init", "0.5,1,0,0",
      "--T", "1", "--degree-test", "4", "--json"],
     ["degree-test", "--potential", "1 + (x1^4+1)*x2^2", "--degree", "4",

@@ -91,3 +91,19 @@ def test_polynomial_kernel_stays_in_the_ring():
             assert any(vec)
             for row in rows:
                 assert sum((a * v for a, v in zip(row, vec)), MPoly.zero()).is_zero
+
+
+def test_no_division_by_one(monkeypatch):
+    # the first Bareiss step has no previous pivot, and a gcd with trivial
+    # contents divides by none of them
+    from quartic_nve import mpoly
+
+    divisors = []
+    real = mpoly.exact_div
+    monkeypatch.setattr(mpoly, "exact_div", lambda p, d: divisors.append(d) or real(p, d))
+    b, c, e = (MPoly.var(v) for v in "bce")
+    basis, pivots = matrix_kernel([[b, c, e, b], [c, e, b, c], [e, b, c, e + 1]], 4)
+    assert len(basis) == 1 and len(pivots) == 3
+    x = MPoly.var("x")
+    assert mpoly.poly_gcd((x + b) * (x - c), (x + b) * (x + e)) == x + b
+    assert divisors and MPoly.const(1) not in divisors

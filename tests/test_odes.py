@@ -8,12 +8,12 @@ import pytest
 
 from quartic_nve.jets import generate_conditions
 from quartic_nve.mpoly import MPoly, poly_gcd
-from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, LinearODE, NonlinearODE,
+from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, Ansatz, LinearODE, NonlinearODE,
                               SolutionBasis, _jet_numerators, _product,
                               ansatz_denominator, branch_system, cancel,
-                              center_and_reduce, degeneration_branches,
-                              generic_quartic_system, quartic_alpha, rational_kernel,
-                              residual, solves, specialize_quartic,
+                              center_and_reduce, degeneration_branches, derive_ansatz,
+                              generic_quartic_system, quartic_alpha, rational_basis,
+                              rational_kernel, residual, solves, specialize_quartic,
                               DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
 
 x = MPoly.var("x")
@@ -35,9 +35,7 @@ def branch_bases(quartic_system):
     out = {}
     for br in BRANCHES:
         lb, nb = branch_system(br, (l2, nl2))
-        denom, pole = ansatz_denominator(lb)
-        out[br.name] = (lb, nb, rational_kernel(lb, denom, 3, pole, 8,
-                                                anchor=BRANCH_ANCHORS[br.name]))
+        out[br.name] = (lb, nb, rational_basis(lb, BRANCH_ANCHORS[br.name]))
     return out
 
 
@@ -222,6 +220,43 @@ class TestRationalKernel:
         cz = branch_bases["c_zero"][2]
         assert cz.denominator == 4 * e * x ** 3 + b
         assert cz.extra_pole_order == 0
+
+    def test_derived_ansatz(self, branch_bases):
+        # exponents 0, 1, -3 at each simple root of alpha' (x = 0 on b = 0),
+        # and -3, -4, -5 at infinity: deg P <= 9 - 3
+        expected = {"generic": (4 * e * x ** 3 + 2 * c * x + b, 0),
+                    "b_zero": (2 * e * x ** 2 + c, 3),
+                    "c_zero": (4 * e * x ** 3 + b, 0)}
+        for name, (denom, extra) in expected.items():
+            lb, _, basis = branch_bases[name]
+            assert derive_ansatz(lb) == Ansatz(denom, 3, extra, 6), name
+            assert ansatz_denominator(lb) == (denom, extra)
+            assert basis.numerator_degree_bound == 6
+            # a larger bound finds no further solution
+            wider = rational_kernel(lb, denom, 3, extra, 8, anchor=BRANCH_ANCHORS[name])
+            assert wider.numerators == basis.numerators, name
+
+    def test_multiple_root_at_x_rejected(self, quartic_system):
+        # b = c = 0: alpha' = 4 e x^3, where the simple-root exponents fail
+        l2 = quartic_system[3]
+        lb = LinearODE("x", tuple(cf.subs({"b": 0, "c": 0}) for cf in l2.coeffs))
+        with pytest.raises(ValueError, match=r"x\^3 divides the leading coefficient"):
+            derive_ansatz(lb)
+
+    def test_derived_ansatz_of_small_equations(self):
+        one, zero = MPoly.const(1), MPoly.zero()
+        # y''' = 0: no finite pole, k (k - 1) (k - 2) at infinity
+        assert rational_basis(LinearODE("x", (zero, zero, zero, one))).numerators == (
+            one, x, x ** 2)
+        # x y' + 3 y = 0: exponent -3 at x = 0 and at infinity, so y = 1/x^3
+        euler = rational_basis(LinearODE("x", (3 * one, x)))
+        assert (euler.extra_pole_order, euler.numerators) == (3, (one,))
+        # y' + y = 0: no integer exponent at infinity
+        assert derive_ansatz(LinearODE("x", (one, one))).numerator_degree_bound == -1
+        assert rational_basis(LinearODE("x", (one, one))).dimension == 0
+        # (x^2 - 1) y' + y = 0: exponents 1/2 and -1/2 at the two roots
+        with pytest.raises(ValueError, match="not the same at every root"):
+            derive_ansatz(LinearODE("x", (one, x ** 2 - 1)))
 
     def test_published_numerators_span_check(self, branch_bases):
         # classical N1, N3 are genuine solutions; the printed N2 is not
@@ -412,7 +447,7 @@ class TestDegeneration:
     def test_non_monomial_content_is_incomplete(self):
         # numerator Wronskian b (b + c): only {b = 0} is read off the
         # monomial content, so the report must not claim completeness
-        basis = SolutionBasis("x", MPoly.const(1), 1, 0,
+        basis = SolutionBasis("x", MPoly.const(1), 1, 0, 2,
                               (MPoly.const(1), x, b * (b + c) * x ** 2 / 2), (0, 1, 2))
         assert basis.numerator_wronskian() == b * (b + c)
         report = degeneration_branches(basis)
@@ -422,7 +457,7 @@ class TestDegeneration:
     def test_non_monomial_e_coefficient_is_incomplete(self):
         # numerator Wronskian (e + 3) x + b: e + 3 is free of b and c but
         # vanishes at e = -3, so no coefficient certifies completeness
-        basis = SolutionBasis("x", MPoly.const(1), 1, 0,
+        basis = SolutionBasis("x", MPoly.const(1), 1, 0, 3,
                               (MPoly.const(1), x,
                                (e + 3) * x ** 3 / 6 + b * x ** 2 / 2), (0, 1, 2))
         assert basis.numerator_wronskian() == (e + 3) * x + b
@@ -433,7 +468,7 @@ class TestDegeneration:
     def test_single_term_coefficient_certifies_content(self):
         # Wronskian b c e^2 x + b^2 c e: monomial content b c e, and the
         # x-coefficient b c e^2 is that content times a power of e
-        basis = SolutionBasis("x", MPoly.const(1), 1, 0,
+        basis = SolutionBasis("x", MPoly.const(1), 1, 0, 3,
                               (MPoly.const(1), x,
                                b * c * e ** 2 * x ** 3 / 6 + b ** 2 * c * e * x ** 2 / 2),
                               (0, 1, 2))
@@ -443,7 +478,7 @@ class TestDegeneration:
         assert report.complete is True
 
     def test_zero_wronskian_rejected(self):
-        dep = SolutionBasis("x", MPoly.const(1), 1, 0,
+        dep = SolutionBasis("x", MPoly.const(1), 1, 0, 2,
                             (x, 2 * x, x ** 2), (0, 1, 2))
         with pytest.raises(ValueError):
             degeneration_branches(dep)
