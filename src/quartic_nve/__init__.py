@@ -2,7 +2,7 @@
 polynomial normal variational equations, with machine-checkable
 incompatibility certificates and a numeric validation layer."""
 
-from .mpoly import MPoly, Rational, poly_diff, poly_gcd, resultant
+from .mpoly import MPoly, poly_gcd, resultant
 from .jets import (EnkTable, DiffCondition, enk_table, generate_conditions,
                    lie_derivative, pullback_condition)
 from .odes import (Branch, LinearODE, NonlinearODE, SolutionBasis,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: conditions, classify, derive-odes, kernel, verify-quartic,
-simulate, degree-test.  Every command produces a Report that serialises to
-JSON ({"command", "inputs", "result", "status"}); identical flags and seed
-give byte-identical output.  Exit codes: 0 success, 1 negative
-verification/classification result, 2 usage error.
+simulate (whose --degree-test runs the numeric degree test).  Every command
+produces a Report that serialises to JSON ({"command", "inputs", "result",
+"status"}); identical flags and seed give byte-identical output.  Exit
+codes: 0 success, 1 negative verification/classification result or a
+diverged trajectory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ REPORT_SCHEMAS = {
         "result": {"csv": "path", "samples": "int", "energy_drift": "float",
                    "plane_deviation": "float", "diverged": "bool",
                    "degree_test?": {"degree": "int", "pass": "bool", "residual": "float"}},
-    },
-    "degree-test": {
-        "result": {"degree": "int", "pass": "bool", "residual": "float"},
     },
 }
 
@@ -252,8 +250,19 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     npot = NumericPotential.from_potential(pot)
+    degree_test = None
     try:
         traj = integrate_hamilton(npot, init, args.dt, args.T)
+        if args.degree_test is not None:
+            if init[2] != 0 or init[3] != 0:
+                raise ValueError("--degree-test needs initial data on the invariant plane")
+            if args.degree_test < 0:
+                raise ValueError("degree must be non-negative")
+            # a diverged orbit fails on its own; its truncated samples test nothing
+            if not traj.diverged:
+                ok, residual = polynomial_degree_test(
+                    nve_coefficient_samples(traj, npot), args.degree_test)
+                degree_test = {"degree": args.degree_test, "pass": ok, "residual": residual}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -262,70 +271,25 @@ def _cmd_simulate(args) -> int:
                "energy_drift": traj.energy_drift(),
                "plane_deviation": traj.max_plane_deviation(),
                "diverged": traj.diverged}
-    status = "ok"
-    exit_code = 0
-    if args.degree_test is not None:
-        on_plane = init[2] == 0 and init[3] == 0
-        if not on_plane:
-            print("error: --degree-test needs initial data on the invariant plane",
-                  file=sys.stderr)
-            return 2
-        samples = nve_coefficient_samples(traj, npot)
-        try:
-            ok, residual = polynomial_degree_test(samples, args.degree_test)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        payload["degree_test"] = {"degree": args.degree_test, "pass": ok,
-                                   "residual": residual}
-        exit_code = 0 if ok else 1
+    if degree_test:
+        payload["degree_test"] = degree_test
     if args.out and not _write(args.out, lambda fh: _write_trajectory(fh, traj)):
         return 2
-    if traj.diverged:
-        status = "fail"
-        exit_code = 1
     report = _report("simulate",
                      {"potential": args.potential, "init": args.init,
                       "dt": args.dt, "T": args.T, "out": args.out or ""},
-                     payload, status=status,
+                     payload, status="fail" if traj.diverged else "ok",
                      stage="divergence" if traj.diverged else "")
     lines = [f"samples: {payload['samples']}  energy drift: {payload['energy_drift']:.3e}"
              f"  plane deviation: {payload['plane_deviation']:.3e}"]
     if traj.diverged:
         lines.append("trajectory diverged and was truncated")
-    if "degree_test" in payload:
-        dt_res = payload["degree_test"]
-        lines.append(f"degree <= {dt_res['degree']} test: "
-                     f"{'pass' if dt_res['pass'] else 'fail'} "
-                     f"(fit residual {dt_res['residual']:.3e})")
+    if degree_test:
+        lines.append(f"degree <= {args.degree_test} test: "
+                     f"{'pass' if degree_test['pass'] else 'fail'} "
+                     f"(fit residual {degree_test['residual']:.3e})")
     _emit(report, args.json, lines)
-    return exit_code
-
-
-def _cmd_degree_test(args) -> int:
-    try:
-        pot = parse_potential(args.potential)
-        x1, y1 = _parse_floats(args.init, 2, "--init")
-    except (ParseError, InvariantPlaneError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    npot = NumericPotential.from_potential(pot)
-    try:
-        traj = integrate_hamilton(npot, (x1, y1, 0.0, 0.0), args.dt, args.T)
-        ok, residual = polynomial_degree_test(nve_coefficient_samples(traj, npot),
-                                              args.degree)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = {"degree": args.degree, "pass": ok, "residual": residual}
-    report = _report("degree-test",
-                     {"potential": args.potential, "init": args.init,
-                      "degree": args.degree, "dt": args.dt, "T": args.T},
-                     payload)
-    _emit(report, args.json,
-          [f"NVE coefficient polynomial of degree <= {args.degree}: "
-           f"{'pass' if ok else 'fail'} (fit residual {residual:.3e})"])
-    return 0 if ok else 1
+    return 1 if traj.diverged or (degree_test and not degree_test["pass"]) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,18 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=10.0)
     p.add_argument("--out", default="", help="trajectory CSV path")
-    p.add_argument("--degree-test", type=int, default=None)
+    p.add_argument("--degree-test", type=int, default=None,
+                   help="test that alpha(x1(t)) has polynomial degree <= this; "
+                        "needs --init x1,y1,0,0")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("degree-test", help="polynomial degree test of the NVE coefficient")
-    p.add_argument("--potential", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--init", required=True, help="x1,y1 (plane coordinates)")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=10.0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_degree_test)
 
     return ap
 

@@ -19,7 +19,7 @@ and the CLI import this module, and their commands stay numpy-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 from .mpoly import MPoly
 from .potential import Potential
@@ -28,6 +28,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 DIVERGENCE_LIMIT = 1e8
+# pass threshold on the normalised forward differences, and the coarsest
+# sampling step they start from
+DEGREE_TEST_TOL = 1e-6
+DEGREE_TEST_STRIDE = 100
 
 
 def _compile_bivariate(p: MPoly) -> Callable[[float, float], float]:
@@ -97,12 +101,6 @@ class Trajectory:
                          np.max(np.abs(self.states[:, 3]))))
 
 
-def _as_numeric(pot: Union[Potential, NumericPotential]) -> NumericPotential:
-    if isinstance(pot, NumericPotential):
-        return pot
-    return NumericPotential.from_potential(pot)
-
-
 def _hamilton_rhs(npot: NumericPotential) -> Callable[[np.ndarray], np.ndarray]:
     """Hamilton's equations on the state (x1, y1, x2, y2)."""
     import numpy as np
@@ -125,8 +123,8 @@ def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
     return s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate_hamilton(pot: Union[Potential, NumericPotential],
-                       init: Sequence[float], dt: float, horizon: float) -> Trajectory:
+def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
+                       horizon: float) -> Trajectory:
     """Classical fixed-step RK4 integration of Hamilton's equations.
 
     Initial data on the invariant plane stays there to machine precision.
@@ -142,9 +140,8 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
         raise ValueError("initial state must be (x1, y1, x2, y2)")
     if not np.all(np.isfinite(state)):
         raise ValueError("initial state must be finite")
-    npot = _as_numeric(pot)
     n = int(round(horizon / dt))
-    rhs = _hamilton_rhs(npot)
+    rhs = _hamilton_rhs(pot)
     states = np.empty((n + 1, 4))
     states[0] = state
     diverged = False
@@ -157,31 +154,28 @@ def integrate_hamilton(pot: Union[Potential, NumericPotential],
             n = i + 1
             break
     times = np.arange(states.shape[0]) * dt
-    energies = np.array([npot.hamiltonian(s) for s in states])
+    energies = np.array([pot.hamiltonian(s) for s in states])
     return Trajectory(times, states, energies, diverged)
 
 
-def nve_coefficient_samples(traj: Trajectory,
-                            pot: Union[Potential, NumericPotential]) -> np.ndarray:
+def nve_coefficient_samples(traj: Trajectory, pot: NumericPotential) -> np.ndarray:
     """a(t_i) = alpha(x1(t_i)) along an invariant-plane trajectory."""
     import numpy as np
     if traj.max_plane_deviation() > 1e-9:
         raise ValueError("trajectory does not lie on the invariant plane")
-    npot = _as_numeric(pot)
-    return np.polyval(npot.alpha_coeffs, traj.states[:, 0])
+    return np.polyval(pot.alpha_coeffs, traj.states[:, 0])
 
 
-def polynomial_degree_test(samples: Sequence[float], degree: int,
-                           tol: float = 1e-6, stride: int = 100
-                           ) -> Tuple[bool, float]:
+def polynomial_degree_test(samples: Sequence[float], degree: int) -> Tuple[bool, float]:
     """Is the uniformly-sampled series a polynomial of degree <= `degree`?
 
     Primary criterion: the maximum (degree+1)-th forward difference of the
-    strided subsample, normalised by the series scale, must stay below tol.
-    The stride is doubled while at least degree+2 points remain and the
-    worst metric over all scales is used: genuine degree-(degree+1) content
-    grows like stride^(degree+1) while the integration-noise floor does not,
-    so the multi-scale maximum separates the two regimes cleanly.  The
+    subsample at step DEGREE_TEST_STRIDE, normalised by the series scale,
+    must stay below DEGREE_TEST_TOL.  The step is doubled while at least
+    degree+2 points remain and the worst metric over all scales is used:
+    genuine degree-(degree+1) content grows like step^(degree+1) while the
+    integration-noise floor does not, so the multi-scale maximum separates
+    the two regimes cleanly.  The
     returned residual is the relative least-squares error of the best
     degree-`degree` fit (a diagnostic, not the pass criterion).
     """
@@ -189,11 +183,11 @@ def polynomial_degree_test(samples: Sequence[float], degree: int,
     if degree < 0:
         raise ValueError("degree must be non-negative")
     data = np.asarray(samples, dtype=float)
-    if data[::max(stride, 1)].size < degree + 2:
+    if data[::DEGREE_TEST_STRIDE].size < degree + 2:
         raise ValueError("too few samples for the requested degree")
     scale = max(float(np.max(np.abs(data))), 1e-300)
     metric = 0.0
-    step = max(stride, 1)
+    step = DEGREE_TEST_STRIDE
     while data[::step].size >= degree + 2:
         diffs = np.diff(data[::step], n=degree + 1)
         metric = max(metric, float(np.max(np.abs(diffs))) / scale)
@@ -201,12 +195,12 @@ def polynomial_degree_test(samples: Sequence[float], degree: int,
     t = np.arange(data.size, dtype=float)
     fit = np.polyfit(t, data, degree)
     residual = float(np.max(np.abs(data - np.polyval(fit, t)))) / scale
-    return metric < tol, residual
+    return metric < DEGREE_TEST_TOL, residual
 
 
-def variational_consistency(pot: Union[Potential, NumericPotential],
-                            init: Sequence[float], delta: float = 1e-6,
-                            dt: float = 1e-3, horizon: float = 1.0) -> float:
+def variational_consistency(pot: NumericPotential, init: Sequence[float],
+                            delta: float = 1e-6, dt: float = 1e-3,
+                            horizon: float = 1.0) -> float:
     """Compare the nonlinear flow against the normal variational equation.
 
     Integrates (i) the full system from the plane point displaced by
@@ -221,8 +215,7 @@ def variational_consistency(pot: Union[Potential, NumericPotential],
     holds only for bounded alpha.
     """
     import numpy as np
-    npot = _as_numeric(pot)
-    if not npot.source.v.diff("x2").subs({"x2": 0}).is_zero:
+    if not pot.source.v.diff("x2").subs({"x2": 0}).is_zero:
         raise ValueError("potential does not preserve the invariant plane")
     x10, y10, x20, y20 = (float(v) for v in init)
     if x20 != 0.0 or y20 != 0.0:
@@ -230,9 +223,9 @@ def variational_consistency(pot: Union[Potential, NumericPotential],
     if delta == 0:
         return 0.0
     n = int(round(horizon / dt))
-    rhs_full = _hamilton_rhs(npot)
-    f1 = npot.dv_dx1
-    alpha_c = npot.alpha_coeffs
+    rhs_full = _hamilton_rhs(pot)
+    f1 = pot.dv_dx1
+    alpha_c = pot.alpha_coeffs
 
     def rhs_nve(s):
         x1, y1, xi, xidot = s

@@ -24,7 +24,7 @@ degree <= d along every integral curve in the invariant plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .mpoly import MPoly
 
@@ -103,9 +103,6 @@ class DiffCondition:
 
     degree: int
     conditions: Tuple[Tuple[int, int, MPoly], ...]
-
-    def polynomials(self) -> List[MPoly]:
-        return [p for (_, _, p) in self.conditions]
 
 
 def generate_conditions(degree: int) -> DiffCondition:

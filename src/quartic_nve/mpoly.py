@@ -32,7 +32,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .linsolve import _forward_eliminate
 
-Rational = Fraction
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
@@ -457,13 +456,6 @@ def exact_div(p: MPoly, d: MPoly) -> MPoly:
                 del rem[key]
     den = lp * g
     return MPoly(allvars, {e: Fraction(n * ld, den) for e, n in quo.items()})
-
-
-def poly_diff(p: MPoly, var: str) -> MPoly:
-    """Formal partial derivative with respect to a canonical variable."""
-    if not isinstance(var, str) or not var:
-        raise ValueError(f"unknown variable name: {var!r}")
-    return p.diff(var)
 
 
 def _coeff_list(p: MPoly, var: str):

@@ -40,6 +40,9 @@ class InvariantPlaneError(ValueError):
 
 
 _TOKEN_OPS = set("+-*/^()")
+# deepest accepted parenthesis nesting; each level costs four stack frames,
+# so this stays well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 @dataclass
@@ -86,6 +89,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.allowed = allowed
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -164,8 +168,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
             return MPoly.var(tok.text)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 

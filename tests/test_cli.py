@@ -70,6 +70,23 @@ class TestClassify:
         code, _ = run(capsys, "classify", "--potential", "x2")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["classify"],
+                                         ["simulate", "--init", "1,0,0,0", "--T", "0.01"]])
+    def test_deep_nesting_is_usage_error(self, capsys, command):
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        code = main(command + ["--potential", deep])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: parentheses nested deeper than")
+        assert captured.out == ""
+
+    def test_nesting_limit_parses(self, capsys):
+        from quartic_nve.potential import MAX_NESTING
+        nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        code, out = run(capsys, "classify", "--potential", f"1 + {nested}*x2^2", "--json")
+        assert code == 1
+        assert json.loads(out)["result"]["alpha"] == "-2*x1"
+
 
 class TestDeriveOdes:
     def test_emits_all(self, capsys):
@@ -227,6 +244,21 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("potential", ["-x1^4 + (x1^4+1)*x2^2",
+                                           "-x1^6 + (x1^4+1)*x2^2"])
+    def test_diverged_orbit_fails_without_degree_test(self, capsys, potential):
+        argv = ["simulate", "--potential", potential, "--init", "1,1,0,0",
+                "--T", "10", "--degree-test", "4"]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert "trajectory diverged and was truncated" in out
+        assert "degree <=" not in out
+        code, out = run(capsys, *argv, "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert (data["status"], data["stage"]) == ("fail", "divergence")
+        assert data["result"]["diverged"] is True
+        assert "degree_test" not in data["result"]
 
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
                                              ("--dt", "nan"), ("--dt", "inf"),
@@ -241,39 +273,49 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def degree_test(potential, degree, x1y1, *extra):
+    """argv of the numeric degree test from the plane point x1y1 = "x1,y1"."""
+    return ["simulate", "--potential", potential, "--init", x1y1 + ",0,0",
+            "--degree-test", str(degree)] + list(extra)
+
+
 class TestDegreeTest:
+    """`simulate --degree-test` from a point of the invariant plane."""
+
     def test_member_passes(self, capsys):
-        code, out = run(capsys, "degree-test", "--potential", "1 + (x1^4+1)*x2^2",
-                        "--degree", "4", "--init", "0.4,1.1", "--json")
+        code, out = run(capsys, *degree_test("1 + (x1^4+1)*x2^2", 4, "0.4,1.1", "--json"))
         assert code == 0
         data = json.loads(out)
-        assert data["result"]["pass"] is True
-        assert data["result"]["residual"] < 1e-6
+        assert data["result"]["degree_test"]["pass"] is True
+        assert data["result"]["degree_test"]["residual"] < 1e-6
 
     def test_too_short_horizon_usage_error(self, capsys):
-        code = main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2",
-                     "--degree", "4", "--init", "0.4,1.1", "--T", "0.001"])
+        code = main(degree_test("1 + (x1^4+1)*x2^2", 4, "0.4,1.1", "--T", "0.001"))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_negative_degree_usage_error(self, capsys):
-        code = main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2",
-                     "--degree", "-1", "--init", "0.4,1.1", "--T", "1"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        # also on an orbit that diverges, where no degree test runs
+        for potential, x1y1 in [("1 + (x1^4+1)*x2^2", "0.4,1.1"),
+                                ("-x1^6 + (x1^4+1)*x2^2", "1,1")]:
+            code = main(degree_test(potential, -1, x1y1, "--T", "1"))
+            assert code == 2
+            assert capsys.readouterr().err == "error: degree must be non-negative\n"
 
     def test_nonmember_fails(self, capsys):
-        code, _ = run(capsys, "degree-test", "--potential", "x1^2/2 + x1^4*x2^2",
-                      "--degree", "4", "--init", "0.9,0.7")
+        code, out = run(capsys, *degree_test("x1^2/2 + x1^4*x2^2", 4, "0.9,0.7"))
         assert code == 1
+        assert "degree <= 4 test: fail" in out
+        assert "diverged" not in out
 
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--dt", "nan"),
                                              ("--init", "nan,1")])
     def test_non_finite_input_usage_error(self, capsys, flag, value):
         args = {"--init": "0.4,1.1", "--dt": "1e-3", "--T": "1"}
         args[flag] = value
-        code = main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2", "--degree", "4"]
-                    + [item for pair in args.items() for item in pair])
+        x1y1 = args.pop("--init")
+        code = main(degree_test("1 + (x1^4+1)*x2^2", 4, x1y1,
+                                *[item for pair in args.items() for item in pair]))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -307,7 +349,7 @@ def test_help_schema(capsys):
     assert code == 0
     schemas = json.loads(out)
     assert set(schemas) == {"conditions", "classify", "derive-odes", "kernel",
-                            "verify-quartic", "simulate", "degree-test"}
+                            "verify-quartic", "simulate"}
 
 
 def _schema_mismatches(value, schema, path="result"):
@@ -335,8 +377,8 @@ def _schema_mismatches(value, schema, path="result"):
     ["verify-quartic", "--trials", "0", "--json"],
     ["simulate", "--potential", "1 + (x1^4+1)*x2^2", "--init", "0.5,1,0,0",
      "--T", "1", "--degree-test", "4", "--json"],
-    ["degree-test", "--potential", "1 + (x1^4+1)*x2^2", "--degree", "4",
-     "--init", "0.4,1.1", "--T", "1", "--json"],
+    ["simulate", "--potential", "-x1^4 + (x1^4+1)*x2^2", "--init", "1,1,0,0",
+     "--degree-test", "4", "--json"],
 ])
 def test_reports_match_their_schema(capsys, argv):
     from quartic_nve.cli import REPORT_SCHEMAS
@@ -365,6 +407,16 @@ def test_golden_stdout(capsys, name, argv, exit_code):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_degree_test_command_is_gone(capsys):
+    # the numeric degree test runs through simulate --degree-test
+    with pytest.raises(SystemExit) as exc:
+        main(["degree-test", "--potential", "1 + (x1^4+1)*x2^2", "--degree", "4",
+              "--init", "0.4,1.1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "degree-test" in err
 
 
 STARTUP_PROBE = """

@@ -105,7 +105,7 @@ class TestDegreeTest:
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            polynomial_degree_test(np.arange(300.0), 4, stride=100)
+            polynomial_degree_test(np.arange(300.0), 4)
 
 
 class TestForwardDirection:
