@@ -74,24 +74,6 @@ class QuadraticForm:
     index: int
     matrix: Tuple[Tuple[MPoly, ...], ...]
 
-    def value(self, k: Sequence[Scalar]) -> MPoly:
-        total = MPoly.zero()
-        for i in range(3):
-            for j in range(3):
-                total = total + self.matrix[i][j] * Fraction(k[i]) * Fraction(k[j])
-        return total
-
-    def as_poly(self) -> MPoly:
-        total = MPoly.zero()
-        for i in range(3):
-            for j in range(3):
-                total = total + self.matrix[i][j] * MPoly.var(K_VARS[i]) * MPoly.var(K_VARS[j])
-        return total
-
-    def specialize(self, point: Dict[str, Scalar]) -> "QuadraticForm":
-        return QuadraticForm(self.index, tuple(
-            tuple(m.subs(point) for m in row) for row in self.matrix))
-
 
 def build_Q(nl: NonlinearODE, basis: SolutionBasis) -> MPoly:
     """Clear the structured denominator from nl evaluated at the general

@@ -239,7 +239,7 @@ def _write_trajectory(fh, traj) -> None:
     writer = csv.writer(fh)
     writer.writerow(["t", "x1", "y1", "x2", "y2", "H"])
     for t, s, h in zip(traj.times, traj.states, traj.energies):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in s] + [repr(float(h))])
+        writer.writerow([repr(t)] + [repr(v) for v in s] + [repr(h)])
 
 
 def _cmd_simulate(args) -> int:
@@ -267,7 +267,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {"csv": args.out or "",
-               "samples": int(traj.states.shape[0]),
+               "samples": len(traj.states),
                "energy_drift": traj.energy_drift(),
                "plane_deviation": traj.max_plane_deviation(),
                "diverged": traj.diverged}
@@ -287,7 +287,7 @@ def _cmd_simulate(args) -> int:
     if degree_test:
         lines.append(f"degree <= {args.degree_test} test: "
                      f"{'pass' if degree_test['pass'] else 'fail'} "
-                     f"(fit residual {degree_test['residual']:.3e})")
+                     f"(residual {degree_test['residual']:.3e})")
     _emit(report, args.json, lines)
     return 1 if traj.diverged or (degree_test and not degree_test["pass"]) else 0
 

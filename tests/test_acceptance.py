@@ -24,10 +24,10 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conic_oracle import common_projective_zero_exists
+from forms import form_poly, form_value
 from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
                                  EXTRA_FAMILY, THEOREM_CONCLUSION, build_Q,
                                  conic_incompatibility, extract_forms,
@@ -224,15 +224,15 @@ def test_criterion_6_incompatibility(pipeline):
             res = conic_incompatibility(forms, point)
             tally[res.verdict] += 1
             if name == "b_zero":
-                sp = [f.specialize(point) for f in forms]
                 witnesses_ok &= (res.witness == (1, 0, 4 * point["e"] ** 2)
-                                 and all(f.value(res.witness).is_zero for f in sp))
+                                 and all(form_value(f, res.witness, point).is_zero
+                                         for f in forms))
         tallies[name] = dict(tally)
     expected = {"generic": {"incompatible": 20}, "b_zero": {"compatible": 20},
                 "c_zero": {"incompatible": 20}}
 
     def oracle_zero(name, point):
-        sp = [f.specialize(point).as_poly() for f in forms_by[name]]
+        sp = [form_poly(f, point) for f in forms_by[name]]
         return common_projective_zero_exists([f for f in sp if not f.is_zero])[0]
 
     # independent brute-force oracle: the mandated generic (1, 1, 1) plus the
@@ -269,7 +269,7 @@ def test_criterion_7_theorem_end_to_end(pipeline):
     b_trials = by_name["b_zero"].trials if "b_zero" in by_name else ()
     witnesses_ok = len(b_trials) == 20 and all(
         t.witness is not None
-        and all(f.specialize(t.params).value(t.witness).is_zero for f in forms)
+        and all(form_value(f, t.witness, t.params).is_zero for f in forms)
         for t in b_trials)
     # cli.py exits 0 only when the certificate matches the classical theorem
     conclusion_ok = (EXTRA_FAMILY in cert.conclusion

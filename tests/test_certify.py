@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conic_oracle import common_projective_zero_exists
+from forms import form_poly, form_value
 from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
                                  IncompatibilityResult, QuadraticForm,
                                  THEOREM_CONCLUSION, build_Q,
@@ -130,7 +131,7 @@ class TestExtractForms:
             _, _, _, q, forms = pipeline[name]
             recon = MPoly.zero()
             for f in forms:
-                piece = f.as_poly()
+                piece = form_poly(f)
                 if f.index:
                     piece = piece * MPoly.var("x", f.index)
                 recon = recon + piece
@@ -207,9 +208,9 @@ class TestConicIncompatibility:
         w = res.witness
         assert w is not None
         for f in forms:
-            assert f.value(w).is_zero
+            assert form_value(f, w).is_zero
         # the plane K1 = 0 is a common zero set; (0:1:0) belongs to it
-        assert all(f.value((0, 1, 0)).is_zero for f in forms)
+        assert all(form_value(f, (0, 1, 0)).is_zero for f in forms)
 
     def test_coordinate_triangle_compatible(self):
         # three independent conics (kernel dimension 3) meeting at the
@@ -219,7 +220,7 @@ class TestConicIncompatibility:
         res = conic_incompatibility(forms, {})
         assert res.verdict == "compatible"
         assert res.witness is not None
-        assert all(f.value(res.witness).is_zero for f in forms)
+        assert all(form_value(f, res.witness).is_zero for f in forms)
 
     def test_irrational_common_zero_is_compatible(self):
         # the common zeros (1 : 0 : +-sqrt 2) have no rational representative
@@ -244,7 +245,7 @@ class TestConicIncompatibility:
         # mandated independent check: enumerate the intersection points of
         # the first two conics and test each against every remaining one
         _, _, _, _, forms = pipeline["generic"]
-        sp = [f.specialize({"b": 1, "c": 1, "e": 1}).as_poly() for f in forms]
+        sp = [form_poly(f, {"b": 1, "c": 1, "e": 1}) for f in forms]
         sp = [f for f in sp if not f.is_zero]
         exists, why = common_projective_zero_exists(sp)
         assert not exists, why
@@ -264,8 +265,8 @@ class TestConicIncompatibility:
             assert res.verdict == "compatible"
             assert res.witness == (1, 0, 4 * pt["e"] ** 2)
             for f in forms:
-                assert f.specialize(pt).value(res.witness).is_zero
-            sp = [f.specialize(pt).as_poly() for f in forms]
+                assert form_value(f, res.witness, pt).is_zero
+            sp = [form_poly(f, pt) for f in forms]
             exists, _ = common_projective_zero_exists([f for f in sp if not f.is_zero])
             assert exists
 
@@ -274,7 +275,7 @@ class TestConicIncompatibility:
         for pt in ({"b": 1, "e": 1}, {"b": -4, "e": 3}):
             res = conic_incompatibility(forms, pt)
             assert res.verdict == "incompatible"
-            sp = [f.specialize(pt).as_poly() for f in forms]
+            sp = [form_poly(f, pt) for f in forms]
             exists, _ = common_projective_zero_exists([f for f in sp if not f.is_zero])
             assert not exists
 
@@ -285,7 +286,7 @@ class TestConicIncompatibility:
             pt = {v: Fraction(rng.choice([k for k in range(-9, 10) if k]))
                   for v in ("b", "c", "e")}
             res = conic_incompatibility(forms, pt)
-            sp = [f.specialize(pt).as_poly() for f in forms]
+            sp = [form_poly(f, pt) for f in forms]
             exists, _ = common_projective_zero_exists([f for f in sp if not f.is_zero])
             assert (res.verdict == "incompatible") == (not exists)
 

@@ -421,6 +421,7 @@ def test_degree_test_command_is_gone(capsys):
 
 STARTUP_PROBE = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
 import quartic_nve.cli as cli
 
 facts = {}
@@ -428,27 +429,26 @@ for argv in (["conditions", "--degree", "4"],
              ["classify", "--potential", "1 + (x1^4+x1)*x2^2"],
              ["derive-odes", "--emit", "L2,NL2"],
              ["kernel", "--case", "b0", "--json"],
-             ["verify-quartic", "--trials", "1", "--seed", "0", "--json"]):
+             ["verify-quartic", "--trials", "1", "--seed", "0", "--json"],
+             ["simulate", "--potential", "1 + (x1^4+1)*x2^2", "--init", "0.5,1,0,0",
+              "--T", "1", "--degree-test", "4", "--out", sys.argv[1]]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    facts[argv[0]] = [code, "numpy" in sys.modules]
+    facts[argv[0]] = [code, sys.modules.get("numpy") is not None]
 facts["dynamics imported"] = "quartic_nve.dynamics" in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["simulate", "--potential", "1 + (x1^4+1)*x2^2",
-                     "--init", "0.5,1,0,0", "--T", "1", "--degree-test", "4"])
-facts["simulate"] = [code, "numpy" in sys.modules]
 print(json.dumps(facts))
 """
 
 
-def test_exact_commands_never_import_numpy():
-    """numpy loads only on the numeric path; the CLI still imports
-    quartic_nve.dynamics (tracers look it up in sys.modules)."""
+def test_exact_commands_never_import_numpy(tmp_path):
+    """Every command, simulate included, runs with numpy unimportable; the
+    CLI still imports quartic_nve.dynamics (tracers look it up in
+    sys.modules)."""
     src = str(pathlib.Path(quartic_nve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "traj.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     for command in ("conditions", "classify", "derive-odes", "kernel", "verify-quartic"):
@@ -456,4 +456,5 @@ def test_exact_commands_never_import_numpy():
         assert code in (0, 1), (command, code)
         assert not numpy_loaded, f"{command} imported numpy"
     assert facts["dynamics imported"]
-    assert facts["simulate"] == [0, True]
+    assert facts["simulate"] == [0, False]
+    assert (tmp_path / "traj.csv").read_text().count("\n") == 1002

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from quartic_nve.dynamics import (NumericPotential, integrate_hamilton,
+from quartic_nve.dynamics import (DEGREE_TEST_STRIDE, DIVERGENCE_LIMIT,
+                                  NumericPotential, integrate_hamilton,
                                   nve_coefficient_samples,
                                   polynomial_degree_test,
                                   variational_consistency)
@@ -22,12 +23,12 @@ def numeric(text):
 class TestIntegration:
     def test_free_particle(self):
         traj = integrate_hamilton(numeric("1"), (0.0, 2.0, 0.0, 0.0), 1e-3, 1.0)
-        assert abs(traj.states[-1, 0] - 2.0) < 1e-12
+        assert abs(np.asarray(traj.states)[-1, 0] - 2.0) < 1e-12
         assert traj.energy_drift() < 1e-14
 
     def test_harmonic_closed_form(self):
         traj = integrate_hamilton(numeric("x1^2/2"), (1.0, 0.0, 0.0, 0.0), 1e-3, 1.0)
-        assert abs(traj.states[-1, 0] - math.cos(1.0)) < 1e-8
+        assert abs(np.asarray(traj.states)[-1, 0] - math.cos(1.0)) < 1e-8
 
     def test_rk4_stability_polynomial(self):
         # on x1^2/2 one RK4 step is the matrix R(z) = 1 + z + z^2/2 + z^3/6
@@ -41,7 +42,7 @@ class TestIntegration:
         init = np.array([1.0, 0.0, 0.0, 0.0])
         traj = integrate_hamilton(numeric("x1^2/2"), init, dt, steps * dt)
         expected = np.linalg.matrix_power(R, steps) @ init
-        assert np.max(np.abs(traj.states[-1] - expected)) < 1e-12
+        assert np.max(np.abs(np.asarray(traj.states[-1]) - expected)) < 1e-12
 
     def test_plane_invariance(self):
         traj = integrate_hamilton(numeric("x1^2/2 + (x1^4+1)*x2^2"),
@@ -72,13 +73,13 @@ class TestNveSamples:
         # phi constant, alpha = x1^4, x1(0)=0, y1(0)=1: a(t) = t^4
         pot = numeric("1 - x1^4*x2^2/2 + x2^3")  # alpha = x1^4 exactly
         traj = integrate_hamilton(pot, (0.0, 1.0, 0.0, 0.0), 1e-3, 2.0)
-        samples = nve_coefficient_samples(traj, pot)
-        assert np.max(np.abs(samples - traj.times ** 4)) < 1e-10
+        samples = np.asarray(nve_coefficient_samples(traj, pot))
+        assert np.max(np.abs(samples - np.asarray(traj.times) ** 4)) < 1e-10
 
     def test_harmonic_cosine_power(self):
         pot = numeric("x1^2/2 - x1^4*x2^2/2")
         traj = integrate_hamilton(pot, (1.0, 0.0, 0.0, 0.0), 1e-3, 2.0)
-        samples = nve_coefficient_samples(traj, pot)
+        samples = np.asarray(nve_coefficient_samples(traj, pot))
         assert np.max(np.abs(samples - np.cos(traj.times) ** 4)) < 1e-7
 
     def test_off_plane_rejected(self):
@@ -106,6 +107,75 @@ class TestDegreeTest:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             polynomial_degree_test(np.arange(300.0), 4)
+
+
+def reference_run(npot, init, dt, horizon):
+    """numpy oracle: RK4 on arrays, np.polyval samples, np.diff metric."""
+    f1, f2 = npot.dv_dx1, npot.dv_dx2
+
+    def rhs(s):
+        return np.array([s[1], -f1(s[0], s[2]), s[3], -f2(s[0], s[2])])
+
+    rows = [np.array(init, dtype=float)]
+    for _ in range(int(round(horizon / dt))):
+        s = rows[-1]
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * dt * k1)
+        k3 = rhs(s + 0.5 * dt * k2)
+        k4 = rhs(s + dt * k3)
+        rows.append(s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        if not np.all(np.isfinite(rows[-1])) or np.max(np.abs(rows[-1])) > DIVERGENCE_LIMIT:
+            break
+    states = np.array(rows)
+    energies = np.array([npot.hamiltonian(s) for s in states])
+    samples = np.polyval(np.array(npot.alpha_coeffs), states[:, 0])
+    return states, energies, samples
+
+
+def reference_metric(samples, degree):
+    scale = max(float(np.max(np.abs(samples))), 1e-300)
+    metric, step = 0.0, DEGREE_TEST_STRIDE
+    while samples[::step].size >= degree + 2:
+        diffs = np.diff(samples[::step], n=degree + 1)
+        metric = max(metric, float(np.max(np.abs(diffs))) / scale)
+        step *= 2
+    return metric
+
+
+class TestBitwiseReference:
+    """The float layer keeps the numpy oracle's operation order, so its
+    values are equal, not close."""
+
+    @pytest.mark.parametrize("text, init, diverges", [
+        ("1 + (x1^4+1)*x2^2", (0.5, 1.0, 0.0, 0.0), False),
+        ("x1^2/2 + x1^4*x2^2", (0.9, 0.7, 0.0, 0.0), False),
+        ("1 + (x1^4+1)*x2^2 + (2 - x1)*x2^3", (0.5, 1.0, 0.0, 0.0), False),
+        ("-x1^4 + (x1^4+1)*x2^2", (1.0, 1.0, 0.0, 0.0), True),
+    ])
+    def test_orbit(self, text, init, diverges):
+        npot = numeric(text)
+        traj = integrate_hamilton(npot, init, 1e-3, 10.0)
+        states, energies, samples = reference_run(npot, init, 1e-3, 10.0)
+        assert traj.diverged == diverges
+        assert len(traj.states) == len(states) and (len(states) < 10001) == diverges
+        assert traj.states == [tuple(row) for row in states.tolist()]
+        assert traj.energies == energies.tolist()
+        assert nve_coefficient_samples(traj, npot) == samples.tolist()
+        for degree in (3, 4):
+            _, residual = polynomial_degree_test(samples.tolist(), degree)
+            assert residual == reference_metric(samples, degree)
+
+    def test_overflowing_power(self):
+        # within the first step the RK4 stages carry x1 to ~1e79, where x1^12
+        # leaves the float range: infinities, then NaNs, as numpy gives
+        npot = numeric("-x1^12 + (x1^4+1)*x2^2")
+        traj = integrate_hamilton(npot, (5e7, 1.0, 0.0, 0.0), 1e-3, 1.0)
+        with np.errstate(all="ignore"):
+            states, energies, _ = reference_run(npot, (5e7, 1.0, 0.0, 0.0), 1e-3, 1.0)
+        assert traj.diverged and len(states) == 2
+        np.testing.assert_array_equal(np.asarray(traj.states), states)
+        np.testing.assert_array_equal(traj.energies, energies)
+        assert math.isnan(traj.energy_drift()) and math.isnan(traj.max_plane_deviation())
 
 
 class TestForwardDirection:
