@@ -3,8 +3,8 @@ polynomial normal variational equations, with machine-checkable
 incompatibility certificates and a numeric validation layer."""
 
 from .mpoly import MPoly, poly_gcd, resultant
-from .jets import (EnkTable, DiffCondition, enk_table, generate_conditions,
-                   lie_derivative, pullback_condition)
+from .jets import (EnkTable, DiffCondition, conditions_vanish, enk_table,
+                   generate_conditions, lie_derivative)
 from .odes import (Branch, LinearODE, NonlinearODE, SolutionBasis,
                    center_and_reduce, degeneration_branches, rational_basis,
                    rational_kernel, residual, specialize_quartic)

@@ -32,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple, Callable
 
@@ -115,15 +116,16 @@ def extract_forms(q: MPoly) -> List[QuadraticForm]:
         a, b = [j for j, k in enumerate(kexp) for _ in range(k)]
         matrices[i][a][b] = matrices[i][b][a] = coeff if a == b else coeff * Fraction(1, 2)
     forms = [QuadraticForm(i, tuple(map(tuple, m))) for i, m in enumerate(matrices)]
-    # reassembly must reproduce q exactly: Q = sum_i x^i sum_ab M_ab K_a K_b
-    recon = MPoly.zero()
-    for f in forms:
-        for a in range(3):
-            for b in range(3):
-                kexp = tuple((j == a) + (j == b) for j in range(3))
-                recon = recon + MPoly(f.matrix[a][b].vars + names,
-                                      {e + (f.index,) + kexp: c
-                                       for e, c in f.matrix[a][b].terms.items()})
+    # reassembly must reproduce q exactly: Q = sum_i x^i sum_ab M_ab K_a K_b,
+    # gathered into one term map per coefficient-variable tuple
+    by_vars: Dict[Tuple[str, ...], Dict[Tuple[int, ...], Fraction]] = {}
+    for f, a, b in product(forms, range(3), range(3)):
+        kexp = tuple((j == a) + (j == b) for j in range(3))
+        terms = by_vars.setdefault(f.matrix[a][b].vars, {})
+        for e, c in f.matrix[a][b].terms.items():
+            key = e + (f.index,) + kexp
+            terms[key] = terms.get(key, 0) + c
+    recon = sum((MPoly(vs + names, t) for vs, t in by_vars.items()), MPoly.zero())
     if recon != q:
         raise AssertionError("conic reassembly does not reproduce Q")
     return forms

@@ -16,11 +16,10 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .certify import verify_quartic_theorem
+from .certify import NONINTEGRABILITY_NOTE, verify_quartic_theorem
 from .dynamics import (NumericPotential, integrate_hamilton,
                        nve_coefficient_samples, polynomial_degree_test)
-from .jets import generate_conditions, nve_jet, pullback_condition
-from .mpoly import MPoly
+from .jets import conditions_vanish, generate_conditions
 from .odes import (BRANCHES, BRANCH_ANCHORS, branch_system, center_and_reduce,
                    quotient_text, rational_basis, specialize_quartic)
 from .potential import InvariantPlaneError, ParseError, format_canonical, parse_potential
@@ -122,11 +121,9 @@ def _cmd_classify(args) -> int:
     except (ParseError, InvariantPlaneError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pb = pullback_condition(MPoly.var(nve_jet(5)), pot.alpha, pot.phi)
-    vanishes = pb.is_zero
+    vanishes = conditions_vanish(generate_conditions(4), pot.alpha, pot.phi)
     adeg = pot.alpha.degree("x1")
     member = vanishes and adeg == 4
-    from .certify import NONINTEGRABILITY_NOTE
     payload = {"member": member,
                "phi": format_canonical(pot.phi),
                "alpha": format_canonical(pot.alpha),

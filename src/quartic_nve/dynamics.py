@@ -112,8 +112,8 @@ class Trajectory:
         return _max_abs(h - h0 for h in self.energies) / max(abs(h0), 1.0)
 
     def max_plane_deviation(self) -> float:
-        return max(_max_abs(s[2] for s in self.states),
-                   _max_abs(s[3] for s in self.states))
+        return _max_abs((_max_abs(s[2] for s in self.states),
+                         _max_abs(s[3] for s in self.states)))
 
 
 def _hamilton_rhs(npot: NumericPotential) -> Callable[[State], State]:
@@ -184,7 +184,8 @@ def polynomial_degree_test(samples: Sequence[float], degree: int) -> Tuple[bool,
     metric over all scales is kept: genuine degree-(degree+1) content grows
     like step^(degree+1) while the integration-noise floor does not, so the
     multi-scale maximum separates the two regimes cleanly.  Returns whether
-    the metric is below DEGREE_TEST_TOL, and the metric.
+    the metric is below DEGREE_TEST_TOL, and the metric; a series holding
+    NaN or inf fails with metric NaN.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -192,13 +193,15 @@ def polynomial_degree_test(samples: Sequence[float], degree: int) -> Tuple[bool,
     if len(data[::DEGREE_TEST_STRIDE]) < degree + 2:
         raise ValueError("too few samples for the requested degree")
     scale = max(_max_abs(data), 1e-300)
+    if not math.isfinite(scale):
+        return False, math.nan
     metric = 0.0
     step = DEGREE_TEST_STRIDE
     while len(data[::step]) >= degree + 2:
         diffs = data[::step]
         for _ in range(degree + 1):
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        metric = max(metric, _max_abs(diffs) / scale)
+        metric = _max_abs((metric, _max_abs(diffs) / scale))
         step *= 2
     return metric < DEGREE_TEST_TOL, metric
 

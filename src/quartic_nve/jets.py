@@ -24,7 +24,7 @@ degree <= d along every integral curve in the invariant plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from .mpoly import MPoly
 
@@ -39,9 +39,12 @@ def phi_jet(s: int) -> str:
     return f"phi{s}"
 
 
-def nve_jet(k: int) -> str:
-    """Symbol for the k-th t-derivative of the NVE coefficient a(t)."""
-    return f"a{k}"
+def x1_jets(f: MPoly, name: Callable[[int], str], top: int) -> Dict[str, MPoly]:
+    """{name(r): d^r f/dx1^r for 0 <= r <= top}."""
+    jets = {}
+    for r in range(top + 1):
+        jets[name(r)], f = f, f.diff("x1")
+    return jets
 
 
 def total_x1_derivative(p: MPoly) -> MPoly:
@@ -111,40 +114,18 @@ def generate_conditions(degree: int) -> DiffCondition:
     if degree < 0:
         raise ValueError("degree must be non-negative")
     n = degree + 1
-    table = enk_table(n)
-    conds = []
-    for k in range(n, -1, -1):
-        if (n - k) % 2:
-            continue
-        p = table.entry(n, k)
-        if not p.is_zero:
-            conds.append((n, k, p))
-    return DiffCondition(degree, tuple(conds))
+    entries = enk_table(n).entries      # the nonzero E(n, k) only
+    return DiffCondition(degree, tuple((n, k, entries[n, k])
+                                       for k in range(n, -1, -2) if (n, k) in entries))
 
 
-def pullback_condition(q: MPoly, alpha: MPoly, phi: MPoly) -> MPoly:
-    """Substitute aK -> X_h^K alpha (at concrete alpha, phi) into q.
+def conditions_vanish(cond: DiffCondition, alpha: MPoly, phi: MPoly) -> bool:
+    """Does every E(d+1, k) of cond vanish at the concrete alpha(x1), phi(x1)?
 
-    q must be a polynomial with constant coefficients in the jet symbols
-    a0, a1, ...; the result is a polynomial in (x1, y1) that vanishes
-    identically precisely when the NVE coefficient along every curve in the
-    invariant plane is a differential zero of q.
+    X_h^(d+1) alpha = sum_k E(d+1, k) * y1^k with y1-free E(d+1, k), so this
+    holds exactly when the NVE coefficient is a polynomial of degree <= d
+    along every integral curve in the invariant plane.
     """
-    orders = []
-    for v in q.vars:
-        if v[:1] == "a" and v[1:].isdigit():
-            orders.append(int(v[1:]))
-        else:
-            raise ValueError(f"pullback expects jet symbols a0, a1, ...; got {v!r}")
-    if not orders:
-        return q
-    top = max(orders)
-    values: Dict[str, MPoly] = {}
-    dphi = phi.diff("x1")
-    cur = alpha
-    for k in range(top + 1):
-        if k in orders:
-            values[nve_jet(k)] = cur
-        if k < top:
-            cur = MPoly.var(Y1) * cur.diff("x1") - dphi * cur.diff(Y1)
-    return q.subs(values)
+    top = cond.degree + 1
+    values = {**x1_jets(alpha, alpha_jet, top), **x1_jets(phi, phi_jet, top)}
+    return all(p.subs(values).is_zero for (_, _, p) in cond.conditions)

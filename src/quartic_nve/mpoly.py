@@ -6,7 +6,7 @@ order is global and canonical so that polynomials built in different modules
 (solver, jets, certifier) agree term-for-term:
 
     x < x1 < x2 < y1 < b < c < d < e < a < K1 < K2 < K3 < y < yp < ypp
-      < alpha0 < alpha1 < ... < phi1 < phi2 < ... < a0 < a1 < ...
+      < alpha0 < alpha1 < ... < phi1 < phi2 < ...
 
 followed by any other identifiers in alphabetical order.  Terms are compared
 lexicographically on the exponent tuple; the "leading" term is the largest.
@@ -47,8 +47,6 @@ def _var_key(name: str) -> tuple:
     for rank, prefix in enumerate(("alpha", "phi")):
         if name.startswith(prefix) and name[len(prefix):].isdigit():
             return (1, rank, int(name[len(prefix):]), "")
-    if name[:1] == "a" and name[1:].isdigit():
-        return (1, 2, int(name[1:]), "")
     return (2, 0, 0, name)
 
 

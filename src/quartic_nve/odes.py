@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .jets import DiffCondition, alpha_jet, phi_jet
+from .jets import DiffCondition, alpha_jet, phi_jet, x1_jets
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, det_mpoly, exact_div
 
@@ -204,11 +204,7 @@ def specialize_quartic(conditions: DiffCondition) -> Tuple[LinearODE, NonlinearO
         raise ValueError("expected conditions generated for degree 4")
     if len(conditions.conditions) != 3:
         raise ValueError("expected three degree-4 conditions")
-    jet_values: Dict[str, MPoly] = {}
-    cur = quartic_alpha("x1")
-    for r in range(0, 6):
-        jet_values[alpha_jet(r)] = cur
-        cur = cur.diff("x1")
+    jet_values = x1_jets(quartic_alpha("x1"), alpha_jet, 5)
     by_nk = {(n, k): p for (n, k, p) in conditions.conditions}
     top = by_nk[(5, 5)].subs(jet_values)
     if not top.is_zero:
@@ -335,16 +331,18 @@ def _largest_integer_root(poly: MPoly, var: str) -> Optional[int]:
     Such an r is a root of the coefficient g(var) of every monomial in the
     other variables; in one g, made integer-primitive and cleared of its
     factor var^low, r divides the constant term (rational root theorem).
+    Only the divisors that are roots of g are substituted into poly.
     """
     g = next(iter(poly.split([v for v in poly.vars if v != var]).values()))
-    by_power = g.primitive().collect(var)
-    low = min(by_power)
-    t = abs(int(by_power[low].constant_value()))
+    coeffs = {p: int(c.constant_value()) for p, c in g.primitive().collect(var).items()}
+    low = min(coeffs)
+    t = abs(coeffs[low])
     candidates = {0} if low else set()
     for d in range(1, isqrt(t) + 1):
         if t % d == 0:
             candidates |= {d, -d, t // d, -(t // d)}
-    return max((r for r in candidates if poly.subs({var: r}).is_zero), default=None)
+    roots_of_g = (r for r in candidates if sum(c * r ** p for p, c in coeffs.items()) == 0)
+    return max((r for r in roots_of_g if poly.subs({var: r}).is_zero), default=None)
 
 
 def ansatz_denominator(ode: LinearODE) -> Tuple[MPoly, int]:

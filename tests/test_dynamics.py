@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from quartic_nve.dynamics import (DEGREE_TEST_STRIDE, DIVERGENCE_LIMIT,
-                                  NumericPotential, integrate_hamilton,
-                                  nve_coefficient_samples,
+                                  NumericPotential, Trajectory,
+                                  integrate_hamilton, nve_coefficient_samples,
                                   polynomial_degree_test,
                                   variational_consistency)
-from quartic_nve.jets import pullback_condition
-from quartic_nve.mpoly import MPoly
+from quartic_nve.jets import conditions_vanish, generate_conditions
 from quartic_nve.potential import parse_potential
 
 
@@ -88,6 +87,11 @@ class TestNveSamples:
         with pytest.raises(ValueError):
             nve_coefficient_samples(traj, pot)
 
+    def test_plane_deviation_keeps_nan(self):
+        states = [(0.0, 1.0, 0.5, 0.0), (0.0, 1.0, 0.0, math.nan)]
+        traj = Trajectory([0.0, 1.0], states, [0.0, 0.0])
+        assert math.isnan(traj.max_plane_deviation())
+
 
 class TestDegreeTest:
     def test_exact_quartic_passes(self):
@@ -107,6 +111,21 @@ class TestDegreeTest:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             polynomial_degree_test(np.arange(300.0), 4)
+
+    def test_nan_series_fails(self):
+        ok, residual = polynomial_degree_test([math.nan] * 1000, 4)
+        assert not ok and math.isnan(residual)
+
+    def test_infinite_series_fails(self):
+        # the inf lies off the strided subsample, so only the scale sees it
+        ok, residual = polynomial_degree_test([1.0] * 999 + [math.inf], 4)
+        assert not ok and math.isnan(residual)
+
+    def test_overflowing_differences_fail(self):
+        # finite samples whose third differences are inf - inf = NaN
+        samples = [v for v in (-1e308, 1e308, 1e308, -1e308) for _ in range(100)]
+        ok, residual = polynomial_degree_test(samples, 2)
+        assert not ok and math.isnan(residual)
 
 
 def reference_run(npot, init, dt, horizon):
@@ -198,8 +217,7 @@ class TestForwardDirection:
         # V = x1^2/2 + x1^4 x2^2: the jet condition survives and the numeric
         # degree test fails on a generic trajectory
         pot_exact = parse_potential("x1^2/2 + x1^4*x2^2")
-        pb = pullback_condition(MPoly.var("a5"), pot_exact.alpha, pot_exact.phi)
-        assert not pb.is_zero
+        assert not conditions_vanish(generate_conditions(4), pot_exact.alpha, pot_exact.phi)
         pot = NumericPotential.from_potential(pot_exact)
         traj = integrate_hamilton(pot, (0.9, 0.7, 0.0, 0.0), 1e-3, 10.0)
         samples = nve_coefficient_samples(traj, pot)

@@ -1,12 +1,12 @@
-"""Jet layer: Lie derivative, coefficient recurrence, pullbacks."""
+"""Jet layer: Lie derivative, coefficient recurrence, membership."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from quartic_nve.jets import (alpha_jet, enk_table, generate_conditions,
-                              lie_derivative, phi_jet, pullback_condition)
+from quartic_nve.jets import (alpha_jet, conditions_vanish, enk_table,
+                              generate_conditions, lie_derivative, phi_jet)
 from quartic_nve.mpoly import MPoly
 
 y1 = MPoly.var("y1")
@@ -102,26 +102,41 @@ class TestGenerateConditions:
         assert polys[(2, 0)] == -(a1 * p1)
 
 
+def concrete_flow(alpha, phi, n):
+    """X_h^n alpha for concrete alpha(x1), phi(x1), iterated directly on
+    polynomials in (x1, y1): X_h = y1 d/dx1 - phi'(x1) d/dy1."""
+    dphi = phi.diff("x1")
+    for _ in range(n):
+        alpha = y1 * alpha.diff("x1") - dphi * alpha.diff("y1")
+    return alpha
+
+
+def random_poly(rng, degree):
+    x1 = MPoly.var("x1")
+    out = MPoly.zero()
+    for i in range(degree + 1):
+        out = out + MPoly.const(Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))) * x1 ** i
+    return out
+
+
 class TestPullback:
     def test_first_derivative(self):
+        # alpha = x1^2 along free motion: a' = 2 x1 y1 survives at degree 0
         x1 = MPoly.var("x1")
-        out = pullback_condition(MPoly.var("a1"), x1 ** 2, MPoly.zero())
-        assert out == 2 * x1 * y1
+        assert concrete_flow(x1 ** 2, MPoly.zero(), 1) == 2 * x1 * y1
+        assert not conditions_vanish(generate_conditions(0), x1 ** 2, MPoly.zero())
 
     def test_zero_alpha(self):
-        assert pullback_condition(MPoly.var("a0"), MPoly.zero(), MPoly.var("x1")).is_zero
+        for d in range(5):
+            assert conditions_vanish(generate_conditions(d), MPoly.zero(), MPoly.var("x1"))
 
     def test_quartic_with_flat_phi(self):
         x1 = MPoly.var("x1")
-        out = pullback_condition(MPoly.var("a5"), x1 ** 4, MPoly.zero())
-        assert out.is_zero
-
-    def test_rejects_foreign_symbols(self):
-        with pytest.raises(ValueError):
-            pullback_condition(MPoly.var("b"), MPoly.var("x1"), MPoly.zero())
+        assert conditions_vanish(generate_conditions(4), x1 ** 4, MPoly.zero())
 
     def test_vanishes_for_low_degree_alpha_flat_phi(self):
-        # forward direction at constant phi: alpha of degree <= d kills a_{d+1}
+        # forward direction at constant phi: alpha of degree <= d satisfies
+        # the degree-d conditions
         rng = random.Random(3)
         x1 = MPoly.var("x1")
         for _ in range(20):
@@ -129,12 +144,33 @@ class TestPullback:
             alpha = MPoly.zero()
             for i in range(d + 1):
                 alpha = alpha + MPoly.const(Fraction(rng.randint(-5, 5))) * x1 ** i
-            q = MPoly.var(f"a{d + 1}")
-            assert pullback_condition(q, alpha, MPoly.const(3)).is_zero
+            assert conditions_vanish(generate_conditions(d), alpha, MPoly.const(3))
 
     def test_nonmember_detected(self):
-        # phi = x1^2/2, alpha = x1^4: the fifth-order pullback survives
+        # phi = x1^2/2, alpha = x1^4: the degree-4 conditions do not all vanish
         x1 = MPoly.var("x1")
-        out = pullback_condition(MPoly.var("a5"), x1 ** 4,
-                                 MPoly.const(Fraction(1, 2)) * x1 ** 2)
-        assert not out.is_zero
+        assert not conditions_vanish(generate_conditions(4), x1 ** 4,
+                                     MPoly.const(Fraction(1, 2)) * x1 ** 2)
+
+    def test_agrees_with_concrete_flow(self):
+        # members come from free motion (phi constant, deg alpha <= d),
+        # constant force (phi linear, 2 deg alpha <= d) and constant alpha;
+        # the rest are random
+        rng = random.Random(17)
+        conds = {d: generate_conditions(d) for d in range(7)}
+        outcomes = []
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            kind = rng.randrange(5)
+            if kind == 0:
+                alpha, phi = random_poly(rng, rng.randint(0, d)), random_poly(rng, 0)
+            elif kind == 1:
+                alpha, phi = random_poly(rng, rng.randint(0, d // 2)), random_poly(rng, 1)
+            elif kind == 2:
+                alpha, phi = random_poly(rng, 0), random_poly(rng, rng.randint(0, 3))
+            else:
+                alpha, phi = random_poly(rng, rng.randint(1, 5)), random_poly(rng, rng.randint(0, 3))
+            expected = concrete_flow(alpha, phi, d + 1).is_zero
+            assert conditions_vanish(conds[d], alpha, phi) == expected, (d, alpha, phi)
+            outcomes.append(expected)
+        assert outcomes.count(True) >= 75 and outcomes.count(False) >= 75, outcomes.count(True)
