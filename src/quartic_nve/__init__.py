@@ -10,7 +10,7 @@ from .odes import (Branch, LinearODE, NonlinearODE, SolutionBasis,
                    rational_kernel, residual, specialize_quartic)
 from .certify import (Certificate, QuadraticForm, build_Q, conic_incompatibility,
                       extract_forms, verify_quartic_theorem)
-from .potential import Potential, format_canonical, parse_potential
+from .potential import Potential, parse_potential
 from .dynamics import (NumericPotential, Trajectory, integrate_hamilton,
                        nve_coefficient_samples, polynomial_degree_test,
                        variational_consistency)

@@ -28,13 +28,12 @@ pipeline; a witness K is re-verified against every conic as row . v(K) = 0.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple, Callable
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, exact_div, poly_gcd
@@ -321,8 +320,6 @@ class BranchCertificate:
 class Certificate:
     branches: Tuple[BranchCertificate, ...]
     conclusion: str
-    theorem_form: str
-    nonintegrability_note: str
     seed: int
     status: str                   # "ok" | "fail"
     failing_stage: str = ""
@@ -336,8 +333,8 @@ class Certificate:
         out = {
             "branches": [b.to_json_dict() for b in self.branches],
             "conclusion": self.conclusion,
-            "theorem_form": self.theorem_form,
-            "nonintegrability_note": self.nonintegrability_note,
+            "theorem_form": THEOREM_FORM,
+            "nonintegrability_note": NONINTEGRABILITY_NOTE,
             "seed": self.seed,
             "status": self.status,
             "notes": list(self.notes),
@@ -345,9 +342,6 @@ class Certificate:
         if self.failing_stage:
             out["failing_stage"] = self.failing_stage
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _draw_specialization(branch: Branch, seed: int, trial: int) -> Dict[str, Fraction]:
@@ -368,9 +362,7 @@ EXPECTED_DEGENERATIONS = {
 }
 
 
-def verify_quartic_theorem(trials: int = 20, seed: int = 0,
-                           nl2_transform: Optional[Callable[[NonlinearODE], NonlinearODE]] = None
-                           ) -> Certificate:
+def verify_quartic_theorem(trials: int = 20, seed: int = 0) -> Certificate:
     """Run the full pipeline and certify the classification branch by branch.
 
     Stages: degree-4 conditions, quartic specialisation, centering and order
@@ -386,16 +378,13 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0,
     ]
 
     def fail(stage: str, detail: str) -> Certificate:
-        return Certificate((), f"verification aborted: {detail}", THEOREM_FORM,
-                           NONINTEGRABILITY_NOTE, seed, "fail", stage,
+        return Certificate((), f"verification aborted: {detail}", seed, "fail", stage,
                            tuple(notes))
 
     try:
         l2, nl2 = generic_quartic_system()
     except Exception as exc:  # pragma: no cover
         return fail("derivation", str(exc))
-    if nl2_transform is not None:
-        nl2 = nl2_transform(nl2)
     branch_certs: List[BranchCertificate] = []
     for branch in BRANCHES:
         lb, nb = branch_system(branch, (l2, nl2))
@@ -463,5 +452,4 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0,
         notes.append("the published claim of unanimous incompatibility fails on b = 0; "
                      "the inverse-square family above is a machine-checked counterexample "
                      "(exact residuals and numeric degree test both confirm)")
-    return Certificate(tuple(branch_certs), conclusion, THEOREM_FORM,
-                       NONINTEGRABILITY_NOTE, seed, "ok", "", tuple(notes))
+    return Certificate(tuple(branch_certs), conclusion, seed, "ok", "", tuple(notes))

@@ -22,7 +22,7 @@ from .dynamics import (NumericPotential, integrate_hamilton,
 from .jets import conditions_vanish, generate_conditions
 from .odes import (BRANCHES, BRANCH_ANCHORS, branch_system, center_and_reduce,
                    quotient_text, rational_basis, specialize_quartic)
-from .potential import InvariantPlaneError, ParseError, format_canonical, parse_potential
+from .potential import InvariantPlaneError, ParseError, parse_potential
 
 # a key ending in "?" names a field that only some reports carry
 REPORT_SCHEMAS = {
@@ -125,8 +125,8 @@ def _cmd_classify(args) -> int:
     adeg = pot.alpha.degree("x1")
     member = vanishes and adeg == 4
     payload = {"member": member,
-               "phi": format_canonical(pot.phi),
-               "alpha": format_canonical(pot.alpha),
+               "phi": pot.phi.to_text(),
+               "alpha": pot.alpha.to_text(),
                "alpha_degree": adeg,
                "pullback_vanishes": vanishes,
                "nonintegrability_note": NONINTEGRABILITY_NOTE if member else ""}
@@ -243,6 +243,12 @@ def _cmd_simulate(args) -> int:
     try:
         pot = parse_potential(args.potential)
         init = _parse_floats(args.init, 4, "--init")
+        # checked before integrating, which costs time in proportion to --T
+        if args.degree_test is not None:
+            if init[2] != 0 or init[3] != 0:
+                raise ValueError("--degree-test needs initial data on the invariant plane")
+            if args.degree_test < 0:
+                raise ValueError("degree must be non-negative")
     except (ParseError, InvariantPlaneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -250,16 +256,11 @@ def _cmd_simulate(args) -> int:
     degree_test = None
     try:
         traj = integrate_hamilton(npot, init, args.dt, args.T)
-        if args.degree_test is not None:
-            if init[2] != 0 or init[3] != 0:
-                raise ValueError("--degree-test needs initial data on the invariant plane")
-            if args.degree_test < 0:
-                raise ValueError("degree must be non-negative")
-            # a diverged orbit fails on its own; its truncated samples test nothing
-            if not traj.diverged:
-                ok, residual = polynomial_degree_test(
-                    nve_coefficient_samples(traj, npot), args.degree_test)
-                degree_test = {"degree": args.degree_test, "pass": ok, "residual": residual}
+        # a diverged orbit fails on its own; its truncated samples test nothing
+        if args.degree_test is not None and not traj.diverged:
+            ok, residual = polynomial_degree_test(
+                nve_coefficient_samples(traj, npot), args.degree_test)
+            degree_test = {"degree": args.degree_test, "pass": ok, "residual": residual}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,7 +83,6 @@ class NumericPotential:
     dv_dx1: Callable[[float, float], float]
     dv_dx2: Callable[[float, float], float]
     alpha_coeffs: Tuple[float, ...]     # highest power of x1 first
-    source: Potential
 
     @classmethod
     def from_potential(cls, pot: Potential) -> "NumericPotential":
@@ -93,7 +92,7 @@ class NumericPotential:
         return cls(_compile_bivariate(pot.v),
                    _compile_bivariate(pot.v.diff("x1")),
                    _compile_bivariate(pot.v.diff("x2")),
-                   alpha, pot)
+                   alpha)
 
     def hamiltonian(self, state) -> float:
         x1, y1, x2, y2 = state
@@ -170,7 +169,7 @@ def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
 
 def nve_coefficient_samples(traj: Trajectory, pot: NumericPotential) -> List[float]:
     """a(t_i) = alpha(x1(t_i)) along an invariant-plane trajectory."""
-    if traj.max_plane_deviation() > 1e-9:
+    if not traj.max_plane_deviation() <= 1e-9:  # NaN fails too
         raise ValueError("trajectory does not lie on the invariant plane")
     return [_horner(pot.alpha_coeffs, s[0]) for s in traj.states]
 
@@ -222,8 +221,6 @@ def variational_consistency(pot: NumericPotential, init: Sequence[float],
     the size of alpha along the orbit; a fixed threshold on it therefore
     holds only for bounded alpha.
     """
-    if not pot.source.v.diff("x2").subs({"x2": 0}).is_zero:
-        raise ValueError("potential does not preserve the invariant plane")
     x10, y10, x20, y20 = (float(v) for v in init)
     if x20 != 0.0 or y20 != 0.0:
         raise ValueError("initial state must lie on the invariant plane")

@@ -205,7 +205,8 @@ class MPoly:
         return allvars, _lift(self, allvars), _lift(other, allvars)
 
     # values are immutable, so a sum or product with zero may return an operand
-    def __add__(self, other) -> "MPoly":
+    def _add(self, other, negate: bool) -> "MPoly":
+        """self + other, or self - other if negate."""
         if not isinstance(other, MPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -213,9 +214,12 @@ class MPoly:
         if not other.terms:
             return self
         if not self.terms:
-            return other
+            return -other if negate else other
         allvars, a, b = self._aligned(other)
-        return MPoly(allvars, _merge(a, b, False))
+        return MPoly(allvars, _merge(a, b, negate))
+
+    def __add__(self, other) -> "MPoly":
+        return self._add(other, False)
 
     __radd__ = __add__
 
@@ -223,16 +227,7 @@ class MPoly:
         return MPoly(self.vars, {e: -q for e, q in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
-        if not isinstance(other, MPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = MPoly.const(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
-        allvars, a, b = self._aligned(other)
-        return MPoly(allvars, _merge(a, b, True))
+        return self._add(other, True)
 
     def __rsub__(self, other) -> "MPoly":
         return (-self) + other
@@ -355,12 +350,8 @@ class MPoly:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
         if self.is_zero:
             return Fraction(0)
-        num = 0
-        den = 1
-        for q in self.terms.values():
-            num = gcd(num, q.numerator)
-            den = den * q.denominator // gcd(den, q.denominator)
-        return Fraction(num, den)
+        den, ints = _integer_terms(self.terms)
+        return Fraction(gcd(*[n for _, n in ints]), den)
 
     def primitive(self) -> "MPoly":
         """Integer-primitive associate with positive leading coefficient."""

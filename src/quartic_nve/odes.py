@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet, x1_jets
@@ -100,13 +100,9 @@ def _joint_primitive_scale(polys: Sequence[MPoly]) -> Fraction:
     nonzero = [p for p in polys if not p.is_zero]
     if not nonzero:
         return Fraction(1)
-    from math import gcd
-    num, den = 0, 1
-    for p in nonzero:
-        c = p.content()
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num)
+    contents = [p.content() for p in nonzero]
+    scale = Fraction(lcm(*[c.denominator for c in contents]),
+                     gcd(*[c.numerator for c in contents]))
     lead = nonzero[-1].leading()[1]
     if lead * scale < 0:
         scale = -scale
@@ -158,13 +154,17 @@ class Branch:
 
     name: str
     constraints: Dict[str, Fraction]
-    live: Tuple[str, ...]
+
+    @property
+    def live(self) -> Tuple[str, ...]:
+        """The parameters of alpha that this stratum leaves free."""
+        return tuple(p for p in ("b", "c", "e") if p not in self.constraints)
 
 
 BRANCHES: Tuple[Branch, ...] = (
-    Branch("generic", {}, ("b", "c", "e")),
-    Branch("b_zero", {"b": Fraction(0)}, ("c", "e")),
-    Branch("c_zero", {"c": Fraction(0)}, ("b", "e")),
+    Branch("generic", {}),
+    Branch("b_zero", {"b": Fraction(0)}),
+    Branch("c_zero", {"c": Fraction(0)}),
 )
 
 # Reduced-echelon anchors (numerator coefficient positions) reproducing the
@@ -462,8 +462,7 @@ def degeneration_branches(basis: SolutionBasis) -> DegenerationReport:
 
     complete = any(len(cf.terms) == 1 and off_e(cf) == off_e(content)
                    for cf in w.collect(basis.var).values())
-    branches = tuple(Branch(f"{v}_zero", {v: Fraction(0)},
-                            tuple(p for p in ("b", "c", "e") if p != v))
+    branches = tuple(Branch(f"{v}_zero", {v: Fraction(0)})
                      for v in sorted(content.vars) if v != "e")
     return DegenerationReport(branches, content, complete)
 

@@ -9,9 +9,9 @@ multiplication):
     base    := rational | ident | '(' expr ')'
     rational := int ('/' posint)?
 
-`parse_potential` restricts identifiers to x1, x2 and enforces the invariant
-plane condition: the part of V linear in x2 must vanish identically, so that
-{x2 = y2 = 0} is preserved by the flow.  The decomposition
+`parse_potential` restricts identifiers to x1, x2; `Potential` enforces the
+invariant plane condition: the part of V linear in x2 must vanish
+identically, so that {x2 = y2 = 0} is preserved by the flow.  The decomposition
 
     V = phi(x1) - alpha(x1) * x2^2 / 2 + (x2^3 and higher)
 
@@ -185,33 +185,23 @@ def parse_mpoly(text: str, allowed: Optional[Tuple[str, ...]] = None) -> MPoly:
 
 @dataclass(frozen=True)
 class Potential:
-    """Exact potential V(x1, x2) with its invariant-plane decomposition."""
+    """Exact potential V(x1, x2) with its invariant-plane decomposition;
+    construction rejects a V whose flow does not preserve the plane."""
 
     v: MPoly
     phi: MPoly
     alpha: MPoly
-    beta_present: bool
 
     def __post_init__(self):
-        if not self.v.diff("x2").subs({"x2": 0}).is_zero:  # pragma: no cover
-            raise InvariantPlaneError("potential does not preserve the plane")
+        linear = self.v.diff("x2").subs({"x2": 0})
+        if not linear.is_zero:
+            raise InvariantPlaneError(
+                "dV/dx2 does not vanish on the plane x2 = 0; offending linear part: "
+                f"({linear.to_text()}) * x2")
 
 
 def parse_potential(text: str) -> Potential:
     """Parse V(x1, x2) and extract (phi, alpha), rejecting potentials whose
     flow does not preserve the invariant plane."""
     v = parse_mpoly(text, allowed=("x1", "x2"))
-    linear = v.diff("x2").subs({"x2": 0})
-    if not linear.is_zero:
-        raise InvariantPlaneError(
-            "dV/dx2 does not vanish on the plane x2 = 0; offending linear part: "
-            f"({linear.to_text()}) * x2")
-    phi = v.subs({"x2": 0})
-    alpha = v.coefficient("x2", 2) * (-2)
-    beta_present = any(k >= 3 for k in v.collect("x2"))
-    return Potential(v, phi, alpha, beta_present)
-
-
-def format_canonical(p: MPoly) -> str:
-    """Deterministic canonical text; round-trips through parse_mpoly."""
-    return p.to_text()
+    return Potential(v, v.subs({"x2": 0}), v.coefficient("x2", 2) * (-2))

@@ -255,7 +255,7 @@ def test_criterion_6_incompatibility(pipeline):
             f"finds a common zero {oracle} ({elapsed:.1f} s)")
 
 
-def test_criterion_7_theorem_end_to_end(pipeline):
+def test_criterion_7_theorem_end_to_end(pipeline, monkeypatch):
     cert = verify_quartic_theorem(trials=20, seed=0)
     status_ok = cert.status == "ok" and not cert.failing_stage
     by_name = {bc.branch.name: bc for bc in cert.branches}
@@ -276,11 +276,12 @@ def test_criterion_7_theorem_end_to_end(pipeline):
                      and cert.conclusion != THEOREM_CONCLUSION
                      and not cert.matches_theorem)
 
-    def perturb(nl):
-        delta = MPoly.var("x") * MPoly.var("e") * MPoly.var("y") ** 2
-        return NonlinearODE(nl.var, nl.poly - delta)
-
-    mutated = verify_quartic_theorem(trials=1, seed=0, nl2_transform=perturb)
+    import quartic_nve.certify as certify
+    l2, nl2 = certify.generic_quartic_system()
+    delta = MPoly.var("x") * MPoly.var("e") * MPoly.var("y") ** 2
+    monkeypatch.setattr(certify, "generic_quartic_system",
+                        lambda: (l2, NonlinearODE(nl2.var, nl2.poly - delta)))
+    mutated = verify_quartic_theorem(trials=1, seed=0)
     mutation_detected = (mutated.status == "fail"
                          and mutated.failing_stage.startswith("q-structure["))
     verdict(7, status_ok and verdicts_ok and witnesses_ok and conclusion_ok

@@ -379,12 +379,11 @@ class TestVerifyQuarticTheorem:
             assert len(bc.trials) == 3
 
     def test_determinism(self):
-        a = verify_quartic_theorem(trials=2, seed=5).to_json()
-        bjson = verify_quartic_theorem(trials=2, seed=5).to_json()
-        assert a == bjson
-        other = verify_quartic_theorem(trials=2, seed=6).to_json()
-        params_a = json.loads(a)["branches"][0]["trials"]
-        params_o = json.loads(other)["branches"][0]["trials"]
+        a = verify_quartic_theorem(trials=2, seed=5).to_json_dict()
+        assert a == verify_quartic_theorem(trials=2, seed=5).to_json_dict()
+        other = verify_quartic_theorem(trials=2, seed=6).to_json_dict()
+        params_a = a["branches"][0]["trials"]
+        params_o = other["branches"][0]["trials"]
         assert params_a != params_o  # different points, same verdicts
 
     def test_zero_trials_unevaluated(self):
@@ -392,15 +391,16 @@ class TestVerifyQuarticTheorem:
         assert all(bc.verdict == "unevaluated" for bc in cert.branches)
         assert not cert.matches_theorem
 
-    def test_mutation_detected(self):
+    def test_mutation_detected(self, monkeypatch):
         # perturbing one coefficient of the centered quadratic equation
         # (the analogue of the classical display's 72 -> 71) breaks the
         # structural gate and the certificate fails
-        def perturb(nl):
-            delta = MPoly.var("x") * MPoly.var("e") * MPoly.var("y") ** 2
-            return NonlinearODE(nl.var, nl.poly - delta)
-
-        cert = verify_quartic_theorem(trials=1, seed=0, nl2_transform=perturb)
+        import quartic_nve.certify as certify
+        l2, nl2 = certify.generic_quartic_system()
+        delta = MPoly.var("x") * MPoly.var("e") * MPoly.var("y") ** 2
+        monkeypatch.setattr(certify, "generic_quartic_system",
+                            lambda: (l2, NonlinearODE(nl2.var, nl2.poly - delta)))
+        cert = verify_quartic_theorem(trials=1, seed=0)
         assert cert.status == "fail"
         assert cert.failing_stage.startswith("q-structure")
         assert not cert.matches_theorem
@@ -426,7 +426,7 @@ class TestVerifyQuarticTheorem:
 
     def test_json_round_trip(self):
         cert = verify_quartic_theorem(trials=1, seed=2)
-        blob = cert.to_json()
+        blob = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
         data = json.loads(blob)
         assert set(data) >= {"branches", "conclusion", "theorem_form",
                              "nonintegrability_note", "seed", "status"}

@@ -302,6 +302,21 @@ class TestDegreeTest:
             assert code == 2
             assert capsys.readouterr().err == "error: degree must be non-negative\n"
 
+    @pytest.mark.parametrize("init, degree, message", [
+        ("0.4,1.1,0,0", "-1", "degree must be non-negative"),
+        ("0.4,1.1,0.1,0", "4", "--degree-test needs initial data on the invariant plane")])
+    def test_bad_request_rejected_before_integrating(self, capsys, monkeypatch,
+                                                     init, degree, message):
+        import quartic_nve.cli as cli
+
+        def integrate(*args):
+            raise AssertionError("integrated before checking --degree-test")
+
+        monkeypatch.setattr(cli, "integrate_hamilton", integrate)
+        assert main(["simulate", "--potential", "1 + (x1^4+1)*x2^2", "--init", init,
+                     "--degree-test", degree]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_nonmember_fails(self, capsys):
         code, out = run(capsys, *degree_test("x1^2/2 + x1^4*x2^2", 4, "0.9,0.7"))
         assert code == 1

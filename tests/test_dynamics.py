@@ -92,6 +92,12 @@ class TestNveSamples:
         traj = Trajectory([0.0, 1.0], states, [0.0, 0.0])
         assert math.isnan(traj.max_plane_deviation())
 
+    def test_nan_plane_deviation_rejected(self):
+        states = [(0.5, 1.0, 0.0, 0.0), (0.6, 1.0, math.nan, math.nan)]
+        traj = Trajectory([0.0, 1.0], states, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            nve_coefficient_samples(traj, numeric("1 + (x1^4+1)*x2^2"))
+
 
 class TestDegreeTest:
     def test_exact_quartic_passes(self):
@@ -277,8 +283,8 @@ class TestVariationalConsistency:
             variational_consistency(numeric("1 + x1*x2^2"), (1.0, 0.0, 0.1, 0.0))
 
     def test_non_invariant_rejected(self):
-        # a potential violating invariance cannot even be parsed, so the
-        # pre-check happens upstream of the integrator
+        # no Potential violates invariance, so a NumericPotential, which is
+        # lowered from one, never does and the integrator needs no check
         from quartic_nve.potential import InvariantPlaneError
         with pytest.raises(InvariantPlaneError):
             parse_potential("x1^2/2 + x2")

@@ -291,6 +291,24 @@ class TestIntegerKernelAgainstSympy:
                 assert self._terms(quo) == self._sympy_terms(want, syms)
                 assert quo == p
 
+    def test_content_and_primitive_match_sympy(self):
+        # sympy's Poly.primitive() is the positive content and the
+        # integer-primitive cofactor; MPoly.primitive() also makes the
+        # lex-leading coefficient positive
+        import sympy
+        syms = sympy.symbols(self.VARS)
+        rng = random.Random(20261019)
+        polys = [MPoly.zero()] + [self._random_poly(rng) for _ in range(100)]
+        # scaled copies carry a content other than 1/L, some a negative one
+        polys += [p * Fraction(rng.choice([-21, -6, 10, 35]), rng.randint(1, 12))
+                  for p in polys[1:41]]
+        for p in polys:
+            content, prim = sympy.Poly(self._to_sympy(p, syms), *syms).primitive()
+            assert p.content() == Fraction(str(content))
+            if prim.LC() < 0:
+                prim = -prim
+            assert self._terms(p.primitive()) == self._sympy_terms(prim.as_expr(), syms)
+
     def test_inexact_division_raises(self):
         # a leading coefficient that does not divide: 2x + 1 into x^2 + 1
         with pytest.raises(ValueError):

@@ -385,6 +385,44 @@ class TestJetNumerators:
                     y = sympy.diff(y, sympy.Symbol("x"))
 
 
+class TestNormalized:
+    def test_matches_sympy_primitive_part(self):
+        # normalized() divides the coefficients by their joint content and
+        # makes the leading coefficient of the top-order one positive: the
+        # primitive part of sum_j coeffs[j] * u_j in sympy, sign-fixed on its
+        # lex-leading coefficient with the u_j ordered top order first
+        import sympy
+        names = ("x", "b", "c", "e")
+        syms = sympy.symbols(names)
+        rng = random.Random(20261019)
+
+        def random_coeff():
+            if rng.random() < 0.25:
+                return MPoly.zero()
+            return MPoly(names, {tuple(rng.randint(0, 3) for _ in names):
+                                 Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6]))
+                                 for _ in range(rng.randint(1, 4))})
+
+        for trial in range(60):
+            coeffs = [random_coeff() for _ in range(rng.randint(1, 4))]
+            while coeffs[-1].is_zero:
+                coeffs[-1] = random_coeff()
+            # half the cases lead with a negative coefficient on the last one
+            if (coeffs[-1].leading()[1] < 0) != (trial % 2 == 0):
+                coeffs[-1] = -coeffs[-1]
+            us = sympy.symbols(f"u0:{len(coeffs)}")
+            expr = sum(u * sympy.sympify(cf.to_text().replace("^", "**"))
+                       for u, cf in zip(us, coeffs))
+            _, prim = sympy.Poly(expr, *us[::-1], *syms).primitive()
+            if prim.LC() < 0:
+                prim = -prim
+            got = LinearODE("x", tuple(coeffs)).normalized().coeffs
+            for u, cf in zip(us, got):
+                want = prim.as_expr().coeff(u)
+                assert sympy.expand(sympy.sympify(cf.to_text().replace("^", "**"))
+                                    - want) == 0
+
+
 class TestCancel:
     def test_divides_each_factor_as_often_as_it_goes(self):
         num = 6 * x ** 2 * (x + 1)

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from quartic_nve.mpoly import MPoly
-from quartic_nve.potential import (InvariantPlaneError, ParseError,
-                                   format_canonical, parse_mpoly,
-                                   parse_potential)
+from quartic_nve.potential import (InvariantPlaneError, ParseError, Potential,
+                                   parse_mpoly, parse_potential)
 
 
 def test_member_decomposition():
@@ -16,12 +15,12 @@ def test_member_decomposition():
     x1 = MPoly.var("x1")
     assert pot.phi == Fraction(1, 2) * x1 ** 2
     assert pot.alpha == -2 * (x1 ** 4 + 1)
-    assert not pot.beta_present
 
 
 def test_beta_detected():
     pot = parse_potential("1 + x1*x2^2 + x2^3")
-    assert pot.beta_present
+    assert pot.v.degree("x2") == 3
+    assert pot.phi == 1
     assert pot.alpha == -2 * MPoly.var("x1")
 
 
@@ -31,6 +30,13 @@ def test_invariant_plane_violation():
     assert "x2" in str(info.value)
     with pytest.raises(InvariantPlaneError):
         parse_potential("x1^2/2 + x1*x2")
+
+
+def test_direct_construction_is_checked():
+    x1, x2 = MPoly.var("x1"), MPoly.var("x2")
+    with pytest.raises(InvariantPlaneError) as info:
+        Potential(x1 * x2, MPoly.zero(), MPoly.zero())
+    assert str(info.value).endswith("offending linear part: (x1) * x2")
 
 
 def test_negative_exponent_is_syntax_error():
@@ -61,9 +67,9 @@ def test_leading_sign():
 
 def test_format_examples():
     x1, x2 = MPoly.var("x1"), MPoly.var("x2")
-    assert format_canonical(x1 ** 2 + 1) == "x1^2 + 1"
-    assert format_canonical(MPoly.zero()) == "0"
-    assert format_canonical(-Fraction(1, 2) * x2 ** 2) == "-1/2*x2^2"
+    assert (x1 ** 2 + 1).to_text() == "x1^2 + 1"
+    assert MPoly.zero().to_text() == "0"
+    assert (-Fraction(1, 2) * x2 ** 2).to_text() == "-1/2*x2^2"
 
 
 def test_round_trip_random():
@@ -76,5 +82,5 @@ def test_round_trip_random():
             term = MPoly.const(coeff) * MPoly.var("x1", rng.randint(0, 8)) \
                 * MPoly.var("x2", rng.randint(0, 8))
             p = p + term
-        text = format_canonical(p)
+        text = p.to_text()
         assert parse_mpoly(text, allowed=("x1", "x2")) == p
