@@ -31,7 +31,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,12 +66,24 @@ NONINTEGRABILITY_NOTE = (
 )
 
 
+# exponents of (K1, K2, K3) in the Veronese coordinates, and all quartic monomials
+_QUADRATIC = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+_QUARTIC = sorted({tuple(i + j for i, j in zip(p, q)) for p in _QUADRATIC for q in _QUADRATIC})
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric 3x3 coefficient matrix of one conic C_i, C_i = K^T M K."""
+    """One conic C_i as its Veronese row: the coefficients of K1^2, K2^2,
+    K3^2, K1K2, K1K3, K2K3, so that C_i = row . v(K)."""
 
     index: int
-    matrix: Tuple[Tuple[MPoly, ...], ...]
+    row: Tuple[MPoly, ...]
+
+    @property
+    def matrix(self) -> Tuple[Tuple[MPoly, ...], ...]:
+        """The symmetric 3x3 matrix M with C_i = K^T M K."""
+        half = Fraction(1, 2)
+        return _symmetric(self.row[:3] + tuple(c * half for c in self.row[3:]))
 
 
 def build_Q(nl: NonlinearODE, basis: SolutionBasis) -> MPoly:
@@ -99,7 +110,7 @@ def build_Q(nl: NonlinearODE, basis: SolutionBasis) -> MPoly:
 
 
 def extract_forms(q: MPoly) -> List[QuadraticForm]:
-    """One symmetric conic matrix per x-power of Q, 0 <= i <= deg_x Q.
+    """One conic per x-power of Q, 0 <= i <= deg_x Q, as its Veronese row.
 
     Q is split once over (x, K1, K2, K3); a term that is not of degree two
     in K is an error, and the forms must reassemble to Q term by term.
@@ -107,23 +118,20 @@ def extract_forms(q: MPoly) -> List[QuadraticForm]:
     names = ("x",) + K_VARS
     parts = q.split(names)
     deg = max((i for i, *_ in parts), default=0)
-    matrices = [[[MPoly.zero()] * 3 for _ in range(3)] for _ in range(deg + 1)]
+    rows = [[MPoly.zero()] * len(_QUADRATIC) for _ in range(deg + 1)]
     for (i, *kexp), coeff in parts.items():
         if sum(kexp) != 2:
             raise ValueError("Q is not homogeneous of degree 2 in K1, K2, K3")
-        # the K indices of the term: K_a K_b
-        a, b = [j for j, k in enumerate(kexp) for _ in range(k)]
-        matrices[i][a][b] = matrices[i][b][a] = coeff if a == b else coeff * Fraction(1, 2)
-    forms = [QuadraticForm(i, tuple(map(tuple, m))) for i, m in enumerate(matrices)]
-    # reassembly must reproduce q exactly: Q = sum_i x^i sum_ab M_ab K_a K_b,
+        rows[i][_QUADRATIC.index(tuple(kexp))] = coeff
+    forms = [QuadraticForm(i, tuple(r)) for i, r in enumerate(rows)]
+    # reassembly must reproduce q exactly: Q = sum_i x^i row_i . v(K),
     # gathered into one term map per coefficient-variable tuple
     by_vars: Dict[Tuple[str, ...], Dict[Tuple[int, ...], Fraction]] = {}
-    for f, a, b in product(forms, range(3), range(3)):
-        kexp = tuple((j == a) + (j == b) for j in range(3))
-        terms = by_vars.setdefault(f.matrix[a][b].vars, {})
-        for e, c in f.matrix[a][b].terms.items():
-            key = e + (f.index,) + kexp
-            terms[key] = terms.get(key, 0) + c
+    for f in forms:
+        for kexp, coeff in zip(_QUADRATIC, f.row):
+            terms = by_vars.setdefault(coeff.vars, {})
+            for e, c in coeff.terms.items():
+                terms[e + (f.index,) + kexp] = c
     recon = sum((MPoly(vs + names, t) for vs, t in by_vars.items()), MPoly.zero())
     if recon != q:
         raise AssertionError("conic reassembly does not reproduce Q")
@@ -207,18 +215,9 @@ def conic_incompatibility(forms: Sequence[QuadraticForm],
     return IncompatibilityResult("compatible", witness, description, tuple(transcript))
 
 
-# exponents of (K1, K2, K3) in the Veronese coordinates, and all quartic monomials
-_QUADRATIC = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-_QUARTIC = sorted({tuple(i + j for i, j in zip(p, q)) for p in _QUADRATIC for q in _QUADRATIC})
-
-
 def _veronese_row(form: QuadraticForm, point: Dict[str, Fraction]) -> List[Fraction]:
-    """(M00, M11, M22, 2M01, 2M02, 2M12): the conic is this row dotted with
-    the Veronese image (K1^2, K2^2, K3^2, K1K2, K1K3, K2K3)."""
-    m = form.matrix
-    return [m[0][0].evaluate(point), m[1][1].evaluate(point), m[2][2].evaluate(point),
-            2 * m[0][1].evaluate(point), 2 * m[0][2].evaluate(point),
-            2 * m[1][2].evaluate(point)]
+    """The form's Veronese row at a parameter point."""
+    return [p.evaluate(point) for p in form.row]
 
 
 def _veronese(k: Sequence[Fraction]) -> List[Fraction]:

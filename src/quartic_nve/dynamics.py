@@ -39,11 +39,8 @@ def _overflowing_power(x: float, e: int) -> float:
 
 
 def _compile_bivariate(p: MPoly) -> Callable[[float, float], float]:
-    terms = []
-    for exps, coeff in p.terms.items():
-        e1 = exps[p.vars.index("x1")] if "x1" in p.vars else 0
-        e2 = exps[p.vars.index("x2")] if "x2" in p.vars else 0
-        terms.append((float(coeff), e1, e2))
+    terms = [(float(coeff.constant_value()), e1, e2)
+             for (e1, e2), coeff in p.split(("x1", "x2")).items()]
 
     def ev(x1: float, x2: float) -> float:
         total = 0.0

@@ -303,26 +303,18 @@ class MPoly:
         return self.collect(var).get(power, MPoly.zero())
 
     def subs(self, assignment: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
-        """Substitute polynomials or scalars for variables."""
-        values = {n: (v if isinstance(v, MPoly) else MPoly.const(v))
-                  for n, v in assignment.items()}
-        if not any(v in values for v in self.vars):
+        """Substitute polynomials or scalars for variables, all at once: each
+        coefficient of the split over the substituted variables times the
+        product of their values' powers."""
+        names = [v for v in self.vars if v in assignment]
+        if not names:
             return self
         result = MPoly.zero()
-        pow_cache: Dict[Tuple[str, int], MPoly] = {}
-        for e, q in self.terms.items():
-            term = MPoly.const(q)
-            for i, v in enumerate(self.vars):
-                if e[i] == 0:
-                    continue
-                if v in values:
-                    key = (v, e[i])
-                    if key not in pow_cache:
-                        pow_cache[key] = values[v] ** e[i]
-                    term = term * pow_cache[key]
-                else:
-                    term = term * MPoly.var(v, e[i])
-            result = result + term
+        for exps, coeff in self.split(names).items():
+            for v, k in zip(names, exps):
+                if k:
+                    coeff = coeff * assignment[v] ** k
+            result = result + coeff
         return result
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -475,15 +467,6 @@ def _pseudo_rem(f: Sequence[MPoly], g: Sequence[MPoly]):
     return f
 
 
-def _poly_from_coeffs(coeffs: Sequence[MPoly], var: str) -> MPoly:
-    out = MPoly.zero()
-    xv = MPoly.var(var)
-    for k, c in enumerate(coeffs):
-        if not c.is_zero:
-            out = out + c * xv ** k
-    return out
-
-
 def _content_wrt(p: MPoly, var: str) -> MPoly:
     """Content of p as a polynomial in var: the gcd of its coefficients."""
     coeffs = [c for c in p.collect(var).values() if not c.is_zero]
@@ -539,7 +522,7 @@ def poly_gcd(p: MPoly, q: MPoly) -> MPoly:
         f, g = g, [_div(c, denom_poly) for c in r]
         s = f[-1]
         h = _div(s ** delta, h ** (delta - 1)) if delta > 0 else h
-    result = _poly_from_coeffs(g, main)
+    result = sum((c * MPoly.var(main, k) for k, c in enumerate(g)), MPoly.zero())
     pp = _div(result, _content_wrt(result, main))
     return (cont * pp).primitive()
 

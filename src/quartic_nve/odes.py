@@ -32,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .jets import DiffCondition, alpha_jet, phi_jet, x1_jets
 from .linsolve import matrix_kernel
-from .mpoly import MPoly, det_mpoly, exact_div
+from .mpoly import MPoly, det_mpoly, exact_div, poly_gcd
 
 Y_JETS = ("y", "yp", "ypp")
 
@@ -82,11 +82,8 @@ class NonlinearODE:
     poly: MPoly
 
     def __post_init__(self):
-        for exps in self.poly.terms:
-            deg = sum(exps[self.poly.vars.index(v)]
-                      for v in Y_JETS if v in self.poly.vars)
-            if deg != 2:
-                raise ValueError("equation must be quadratic in the jet of y")
+        if any(sum(jets) != 2 for jets in self.poly.split(Y_JETS)):
+            raise ValueError("equation must be quadratic in the jet of y")
 
     def normalized(self) -> "NonlinearODE":
         scale = _joint_primitive_scale([self.poly])
@@ -282,13 +279,13 @@ def derive_ansatz(ode: LinearODE) -> Ansatz:
     0, ..., n - 2 and n - 1 - c_{n-1}/c_n'.  The last one must be the same at
     every root, so c_{n-1} = lam * c_n' for a constant lam is required; when
     it is a negative integer -m, m is the pole order.  The roots are x = 0
-    when x divides c_n, which must then be simple (else ValueError), and
-    those of the x-free part D of c_n, which are taken to be simple (D is
-    square-free over the parameters on every branch): the denominator is
-    x^m D^m, or D^m without the x-factor.  At infinity y ~ x^k makes the
-    terms of largest deg c_j - j lead with sum lc(c_j) k (k - 1) ... (k - j + 1),
-    so k is an integer root of that polynomial and deg P <= deg(x^m D^m) plus
-    the largest such root (Abramov 1989).
+    when x divides c_n, which must then be simple, and those of the x-free
+    part D of c_n, which must be simple too: gcd(D, D') has x-degree 0 (else
+    ValueError in both cases).  The denominator is x^m D^m, or D^m without
+    the x-factor.  At infinity y ~ x^k makes the terms of largest
+    deg c_j - j lead with sum lc(c_j) k (k - 1) ... (k - j + 1), so k is an
+    integer root of that polynomial and deg P <= deg(x^m D^m) plus the
+    largest such root (Abramov 1989).
     """
     x, n = ode.var, ode.order
     lead = ode.coeffs[-1]
@@ -300,6 +297,9 @@ def derive_ansatz(ode: LinearODE) -> Ansatz:
         raise ValueError(f"{x}^{x_mult} divides the leading coefficient; "
                          "the ansatz needs simple roots")
     denom = lead.primitive()
+    if poly_gcd(denom, denom.diff(x)).degree(x) > 0:
+        raise ValueError(f"{denom.to_text()} is not square-free in {x}; "
+                         "the ansatz needs simple roots")
     pole = 0
     if x_mult or denom.degree(x) > 0:
         try:

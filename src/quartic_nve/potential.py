@@ -20,9 +20,10 @@ is extracted exactly: phi = V(x1, 0) and alpha = -d^2V/dx2^2 (x1, 0).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .mpoly import MPoly
 
@@ -39,48 +40,30 @@ class InvariantPlaneError(ValueError):
     """The parsed potential does not preserve the plane x2 = y2 = 0."""
 
 
-_TOKEN_OPS = set("+-*/^()")
+# one alternative per token kind; whitespace matches no named group, and
+# any other character is the group "bad"
+_TOKEN_RE = re.compile(r"\s+|(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(?P<op>[-+*/^()])|(?P<bad>\S)")
 # deepest accepted parenthesis nesting; each level costs four stack frames,
 # so this stays well inside Python's recursion limit
 MAX_NESTING = 100
 
 
-@dataclass
-class _Token:
-    kind: str   # "num", "ident", or the operator character
+class _Token(NamedTuple):
+    kind: str   # "num", "ident", "end", or the operator character
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        if kind is not None:
+            tokens.append(_Token(word if kind == "op" else kind, word, m.start()))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

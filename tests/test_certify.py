@@ -11,7 +11,7 @@ import pytest
 from conic_oracle import common_projective_zero_exists
 from forms import form_poly, form_value
 from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
-                                 IncompatibilityResult, QuadraticForm,
+                                 IncompatibilityResult,
                                  THEOREM_CONCLUSION, build_Q,
                                  conic_incompatibility, extract_forms,
                                  verify_quartic_theorem)
@@ -145,6 +145,8 @@ class TestExtractForms:
         q = (K1 + K2) ** 2 * x
         forms = extract_forms(q)
         assert len(forms) == 2  # indices 0 and 1, index 0 is the zero form
+        # K1^2, K2^2, K3^2, K1K2, K1K3, K2K3 coefficients of K1^2 + 2 K1K2 + K2^2
+        assert forms[1].row == tuple(map(MPoly.const, (1, 1, 0, 2, 0, 0)))
         m = forms[1].matrix
         assert m[0][0] == MPoly.const(1)
         assert m[0][1] == MPoly.const(1)
@@ -156,11 +158,13 @@ class TestExtractForms:
             extract_forms(K1 ** 2 + K1)
 
 
+def _product_form(idx, ka, kb):
+    """The conic ka*kb at x-power idx, read by extract_forms."""
+    return extract_forms(MPoly.var(ka) * MPoly.var(kb) * x ** idx)[idx]
+
+
 def _diag_form(idx, kname):
-    m = [[MPoly.zero()] * 3 for _ in range(3)]
-    pos = ("K1", "K2", "K3").index(kname)
-    m[pos][pos] = MPoly.const(1)
-    return QuadraticForm(idx, tuple(tuple(r) for r in m))
+    return _product_form(idx, kname, kname)
 
 
 def _random_line(rng, through=None):
@@ -184,14 +188,6 @@ def _random_conic(rng, points):
                      for _ in range(2)), MPoly.zero())
         if not conic.is_zero:
             return conic
-
-
-def _product_form(idx, ka, kb):
-    names = ("K1", "K2", "K3")
-    m = [[MPoly.zero()] * 3 for _ in range(3)]
-    i, j = names.index(ka), names.index(kb)
-    m[i][j] = m[j][i] = MPoly.const(Fraction(1, 2))
-    return QuadraticForm(idx, tuple(tuple(r) for r in m))
 
 
 class TestConicIncompatibility:

@@ -80,6 +80,16 @@ class TestClassify:
         assert captured.err.startswith("error: parentheses nested deeper than")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [["classify"], ["simulate", "--init", "1,0,0,0"]])
+    def test_non_ascii_digit_is_usage_error(self, capsys, command):
+        # str.isdigit accepts a superscript two and int() does not; the
+        # tokenizer reads ASCII digits only
+        code = main(command + ["--potential", "2\u00b2*x2^2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: unexpected character '\u00b2' (at position 1)\n"
+        assert captured.out == ""
+
     def test_nesting_limit_parses(self, capsys):
         from quartic_nve.potential import MAX_NESTING
         nested = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING

@@ -309,6 +309,36 @@ class TestIntegerKernelAgainstSympy:
                 prim = -prim
             assert self._terms(p.primitive()) == self._sympy_terms(prim.as_expr(), syms)
 
+    def test_subs_matches_sympy(self):
+        # simultaneous substitution of scalars (0 among them) and
+        # polynomials, some of which contain the substituted variable
+        # (x -> x + 1), with names that p lacks or that no polynomial has
+        import sympy
+        syms = sympy.symbols(self.VARS)
+        by_name = dict(zip(self.VARS, syms))
+        rng = random.Random(20261020)
+        for _ in range(100):
+            p = self._random_poly(rng)
+            assignment, replace = {"K1": self._random_poly(rng)}, {}
+            for v in rng.sample(self.VARS, rng.randint(1, len(self.VARS))):
+                kind = rng.choice(("zero", "scalar", "poly", "shift"))
+                if kind == "zero":
+                    value = 0
+                elif kind == "scalar":
+                    value = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                elif kind == "poly":
+                    value = self._random_poly(rng)
+                else:
+                    value = MPoly.var(v) + 1
+                assignment[v] = value
+                replace[by_name[v]] = self._to_sympy(
+                    value if isinstance(value, MPoly) else MPoly.const(value), syms)
+            got = p.subs(assignment)
+            self._assert_normal_form(got)
+            want = sympy.expand(self._to_sympy(p, syms).xreplace(replace))
+            assert self._terms(got) == self._sympy_terms(want, syms)
+        assert (x * b).subs({"c": 5, "K1": x}) == x * b
+
     def test_inexact_division_raises(self):
         # a leading coefficient that does not divide: 2x + 1 into x^2 + 1
         with pytest.raises(ValueError):

@@ -243,6 +243,16 @@ class TestRationalKernel:
         with pytest.raises(ValueError, match=r"x\^3 divides the leading coefficient"):
             derive_ansatz(lb)
 
+    def test_repeated_root_of_d_rejected(self):
+        # (x^2 + 1)^2 u' + 4 x (x^2 + 1) u = 0: D = (x^2 + 1)^2 has double roots
+        with pytest.raises(ValueError, match=r"x\^4 \+ 2\*x\^2 \+ 1 is not square-free"):
+            derive_ansatz(LinearODE("x", (4 * x * (x ** 2 + 1), (x ** 2 + 1) ** 2)))
+        # a repeated parameter factor is no repeated root: b^2 (x^2 + 1)
+        # u' + 6 b^2 x u = 0 is solved by (x^2 + 1)^-3
+        basis = rational_basis(LinearODE("x", (6 * b ** 2 * x, b ** 2 * (x ** 2 + 1))))
+        assert (basis.denominator, basis.denominator_exponent, basis.numerators) == (
+            b ** 2 * (x ** 2 + 1), 3, (MPoly.const(1),))
+
     def test_derived_ansatz_of_small_equations(self):
         one, zero = MPoly.const(1), MPoly.zero()
         # y''' = 0: no finite pole, k (k - 1) (k - 2) at infinity

@@ -53,6 +53,18 @@ def test_errors_carry_position():
         assert 0 <= info.value.position <= len(text)
 
 
+def test_non_ascii_is_rejected_at_its_position():
+    # digits and identifiers are ASCII: int() rejects a superscript two,
+    # and an Arabic-Indic three is no silent 3
+    cases = {"2\u00b2*x2^2": 1, "x1^\u00b2": 3, "\u0663*x2^2": 0,
+             "\u03b1*x2^2": 0, "x1\u00e9": 2}
+    for text, position in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse_potential(text)
+        assert str(info.value) == (f"unexpected character {text[position]!r} "
+                                   f"(at position {position})")
+
+
 def test_rational_literals_and_division():
     pot = parse_potential("3/4*x1 - x1^2/2")
     x1 = MPoly.var("x1")
