@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, exact_div, poly_gcd
@@ -71,8 +70,7 @@ _QUADRATIC = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 _QUARTIC = sorted({tuple(i + j for i, j in zip(p, q)) for p in _QUADRATIC for q in _QUADRATIC})
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     """One conic C_i as its Veronese row: the coefficients of K1^2, K2^2,
     K3^2, K1K2, K1K3, K2K3, so that C_i = row . v(K)."""
 
@@ -138,8 +136,7 @@ def extract_forms(q: MPoly) -> List[QuadraticForm]:
     return forms
 
 
-@dataclass(frozen=True)
-class IncompatibilityResult:
+class IncompatibilityResult(NamedTuple):
     verdict: str                  # "incompatible" | "compatible"
     witness: Optional[Tuple[Fraction, Fraction, Fraction]]
     witness_description: str
@@ -283,16 +280,14 @@ def _fmt_vector(w: Sequence[Fraction]) -> str:
     return "(" + ", ".join(str(v) for v in w) + ")"
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     params: Dict[str, Fraction]
     verdict: str
     witness: Optional[Tuple[Fraction, Fraction, Fraction]]
     transcript_digest: str
 
 
-@dataclass(frozen=True)
-class BranchCertificate:
+class BranchCertificate(NamedTuple):
     branch: Branch
     q_degree: int
     num_equations: int
@@ -315,8 +310,7 @@ class BranchCertificate:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     branches: Tuple[BranchCertificate, ...]
     conclusion: str
     seed: int

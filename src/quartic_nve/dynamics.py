@@ -15,8 +15,7 @@ integration error floor but far below any genuine higher-degree signal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .mpoly import MPoly
 from .potential import Potential
@@ -72,8 +71,7 @@ def _max_abs(values: Iterable[float]) -> float:
     return math.nan if any(map(math.isnan, mags)) else max(mags)
 
 
-@dataclass(frozen=True)
-class NumericPotential:
+class NumericPotential(NamedTuple):
     """Floating-point evaluators lowered from an exact Potential."""
 
     v: Callable[[float, float], float]
@@ -96,8 +94,7 @@ class NumericPotential:
         return 0.5 * (y1 * y1 + y2 * y2) + self.v(x1, x2)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: List[float]
     states: List[State]         # (x1, y1, x2, y2) per time
     energies: List[float]
@@ -123,6 +120,15 @@ def _hamilton_rhs(npot: NumericPotential) -> Callable[[State], State]:
     return rhs
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """The number of fixed steps of size dt that cover the horizon."""
+    if not (math.isfinite(dt) and math.isfinite(horizon)) or dt <= 0 or horizon <= 0:
+        raise ValueError("dt and horizon must be positive and finite")
+    if not math.isfinite(horizon / dt):
+        raise ValueError("horizon / dt overflows the step count")
+    return int(round(horizon / dt))
+
+
 def _rk4_step(rhs: Callable[[State], State], s: State, dt: float) -> State:
     """One classical fourth-order Runge-Kutta step of s' = rhs(s)."""
     h = 0.5 * dt
@@ -141,11 +147,10 @@ def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
 
     Initial data on the invariant plane stays there to machine precision.
     Trajectories whose state magnitude exceeds DIVERGENCE_LIMIT are
-    truncated and flagged.  Non-finite dt, horizon or initial data raise
-    ValueError.
+    truncated and flagged.  Non-finite dt, horizon or initial data, or a
+    step count horizon / dt beyond the float range, raise ValueError.
     """
-    if not (math.isfinite(dt) and math.isfinite(horizon)) or dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive and finite")
+    steps = _step_count(horizon, dt)
     state = tuple(float(v) for v in init)
     if len(state) != 4:
         raise ValueError("initial state must be (x1, y1, x2, y2)")
@@ -154,7 +159,7 @@ def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
     rhs = _hamilton_rhs(pot)
     states = [state]
     diverged = False
-    for _ in range(int(round(horizon / dt))):
+    for _ in range(steps):
         state = _rk4_step(rhs, state, dt)
         states.append(state)
         if not all(map(math.isfinite, state)) or max(map(abs, state)) > DIVERGENCE_LIMIT:
@@ -221,6 +226,7 @@ def variational_consistency(pot: NumericPotential, init: Sequence[float],
     x10, y10, x20, y20 = (float(v) for v in init)
     if x20 != 0.0 or y20 != 0.0:
         raise ValueError("initial state must lie on the invariant plane")
+    steps = _step_count(horizon, dt)
     if delta == 0:
         return 0.0
     rhs_full = _hamilton_rhs(pot)
@@ -233,7 +239,7 @@ def variational_consistency(pot: NumericPotential, init: Sequence[float],
 
     full = nve = (x10, y10, float(delta), 0.0)
     err = 0.0
-    for _ in range(int(round(horizon / dt))):
+    for _ in range(steps):
         full = _rk4_step(rhs_full, full, dt)
         nve = _rk4_step(rhs_nve, nve, dt)
         err = max(err, abs(full[2] - nve[2]))

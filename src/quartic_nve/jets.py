@@ -23,8 +23,7 @@ degree <= d along every integral curve in the invariant plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .mpoly import MPoly
 
@@ -69,8 +68,7 @@ def lie_derivative(p: MPoly) -> MPoly:
             - MPoly.var(phi_jet(1)) * p.diff(Y1))
 
 
-@dataclass(frozen=True)
-class EnkTable:
+class EnkTable(NamedTuple):
     """Coefficients E(n,k) of y1^k in X_h^n alpha, for 1 <= n <= max_n."""
 
     max_n: int
@@ -96,8 +94,7 @@ def enk_table(max_n: int) -> EnkTable:
     return EnkTable(max_n, entries)
 
 
-@dataclass(frozen=True)
-class DiffCondition:
+class DiffCondition(NamedTuple):
     """Vanishing conditions for an NVE coefficient of degree <= `degree`.
 
     `conditions` lists (n, k, E(n,k)) with n = degree + 1, k of the same

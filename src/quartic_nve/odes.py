@@ -25,7 +25,6 @@ degeneration loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -42,16 +41,15 @@ Factors = Tuple[Tuple[MPoly, int], ...]
 Quotient = Tuple[MPoly, Factors]
 
 
-@dataclass(frozen=True)
-class LinearODE:
+class LinearODE(NamedTuple("LinearODE", [("var", str), ("coeffs", Tuple[MPoly, ...])])):
     """sum_j coeffs[j] * u^(j) = 0 in the unknown u(var)."""
 
-    var: str
-    coeffs: Tuple[MPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1].is_zero:
+    def __new__(cls, var: str, coeffs: Tuple[MPoly, ...]):
+        if not coeffs or coeffs[-1].is_zero:
             raise ValueError("leading coefficient must be nonzero")
+        return super().__new__(cls, var, coeffs)
 
     @property
     def order(self) -> int:
@@ -73,21 +71,19 @@ class LinearODE:
         return " + ".join(parts) + " = 0"
 
 
-@dataclass(frozen=True)
-class NonlinearODE:
+class NonlinearODE(NamedTuple("NonlinearODE", [("var", str), ("poly", MPoly)])):
     """Polynomial equation in y, y', y'' (variables y, yp, ypp),
     homogeneous of degree two in that jet, with x-polynomial coefficients."""
 
-    var: str
-    poly: MPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(sum(jets) != 2 for jets in self.poly.split(Y_JETS)):
+    def __new__(cls, var: str, poly: MPoly):
+        if any(sum(jets) != 2 for jets in poly.split(Y_JETS)):
             raise ValueError("equation must be quadratic in the jet of y")
+        return super().__new__(cls, var, poly)
 
     def normalized(self) -> "NonlinearODE":
-        scale = _joint_primitive_scale([self.poly])
-        return NonlinearODE(self.var, self.poly * scale)
+        return NonlinearODE(self.var, self.poly.primitive())
 
     def to_text(self) -> str:
         return self.poly.to_text().replace("ypp", "y''").replace("yp", "y'") + " = 0"
@@ -106,8 +102,7 @@ def _joint_primitive_scale(polys: Sequence[MPoly]) -> Fraction:
     return scale
 
 
-@dataclass(frozen=True)
-class SolutionBasis:
+class SolutionBasis(NamedTuple):
     """Rational kernel y_i = numerators[i] / (x^p * denominator^exponent),
     solved for numerators of degree at most numerator_degree_bound."""
 
@@ -145,8 +140,7 @@ class SolutionBasis:
                       tuple((f, k * self.dimension) for f, k in self.factors()))
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """Parameter stratum of the case analysis; e != 0 is implicit on all."""
 
     name: str
@@ -432,8 +426,7 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int,
                          numerator_degree_bound, tuple(nums), anchor)
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(NamedTuple):
     branches: Tuple[Branch, ...]
     content: MPoly
     complete: bool

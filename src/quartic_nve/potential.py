@@ -21,7 +21,6 @@ is extracted exactly: phi = V(x1, 0) and alpha = -d^2V/dx2^2 (x1, 0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -166,21 +165,19 @@ def parse_mpoly(text: str, allowed: Optional[Tuple[str, ...]] = None) -> MPoly:
     return _Parser(text, allowed).parse()
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple("Potential", [("v", MPoly), ("phi", MPoly), ("alpha", MPoly)])):
     """Exact potential V(x1, x2) with its invariant-plane decomposition;
     construction rejects a V whose flow does not preserve the plane."""
 
-    v: MPoly
-    phi: MPoly
-    alpha: MPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        linear = self.v.diff("x2").subs({"x2": 0})
+    def __new__(cls, v: MPoly, phi: MPoly, alpha: MPoly):
+        linear = v.diff("x2").subs({"x2": 0})
         if not linear.is_zero:
             raise InvariantPlaneError(
                 "dV/dx2 does not vanish on the plane x2 = 0; offending linear part: "
                 f"({linear.to_text()}) * x2")
+        return super().__new__(cls, v, phi, alpha)
 
 
 def parse_potential(text: str) -> Potential:

@@ -1,6 +1,5 @@
 """Conic extraction, incompatibility verdicts, end-to-end certificates."""
 
-import dataclasses
 import json
 import random
 import time
@@ -120,7 +119,7 @@ class TestBuildQ:
         # a basis claiming a pole its numerators do not support leaves an
         # uncleared denominator, which must raise, not truncate
         lb, nb, basis, _, _ = pipeline["generic"]
-        bad = dataclasses.replace(basis, extra_pole_order=3)
+        bad = basis._replace(extra_pole_order=3)
         with pytest.raises(AssertionError):
             build_Q(nb, bad)
 

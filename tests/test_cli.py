@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def _src_env():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    src = str(pathlib.Path(quartic_nve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestConditions:
     def test_quartic(self, capsys):
         code, out = run(capsys, "conditions", "--degree", "4")
@@ -270,10 +278,12 @@ class TestSimulate:
         assert data["result"]["diverged"] is True
         assert "degree_test" not in data["result"]
 
+    # the last two are finite, but horizon / dt overflows the step count
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
                                              ("--dt", "nan"), ("--dt", "inf"),
                                              ("--init", "1,0,0,nan"),
-                                             ("--init", "inf,0,0,0")])
+                                             ("--init", "inf,0,0,0"),
+                                             ("--dt", "5e-324"), ("--T", "1e308")])
     def test_non_finite_input_usage_error(self, capsys, flag, value):
         args = {"--init": "1,0,0,0", "--dt": "1e-3", "--T": "1"}
         args[flag] = value
@@ -469,11 +479,8 @@ def test_exact_commands_never_import_numpy(tmp_path):
     """Every command, simulate included, runs with numpy unimportable; the
     CLI still imports quartic_nve.dynamics (tracers look it up in
     sys.modules)."""
-    src = str(pathlib.Path(quartic_nve.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "traj.csv")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     for command in ("conditions", "classify", "derive-odes", "kernel", "verify-quartic"):
@@ -483,3 +490,23 @@ def test_exact_commands_never_import_numpy(tmp_path):
     assert facts["dynamics imported"]
     assert facts["simulate"] == [0, False]
     assert (tmp_path / "traj.csv").read_text().count("\n") == 1002
+
+
+IMPORT_PROBE = """
+import json, sys
+import quartic_nve.cli
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    """`import quartic_nve.cli` loads all seven modules, which tracers look
+    up in sys.modules, and none of the introspection machinery that
+    `dataclasses` pulls in."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect"}
+    modules = ("certify", "dynamics", "jets", "linsolve", "mpoly", "odes", "potential")
+    assert {f"quartic_nve.{m}" for m in modules} <= loaded

@@ -61,6 +61,11 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_hamilton(numeric("1"), (0, 0, 0, 0), -1e-3, 1.0)
 
+    @pytest.mark.parametrize("dt, horizon", [(5e-324, 1.0), (1e-308, 1e308)])
+    def test_overflowing_step_count_rejected(self, dt, horizon):
+        with pytest.raises(ValueError, match="overflows the step count"):
+            integrate_hamilton(numeric("1"), (0, 0, 0, 0), dt, horizon)
+
 
 class TestNveSamples:
     def test_zero_alpha(self):
@@ -281,6 +286,13 @@ class TestVariationalConsistency:
     def test_off_plane_rejected(self):
         with pytest.raises(ValueError):
             variational_consistency(numeric("1 + x1*x2^2"), (1.0, 0.0, 0.1, 0.0))
+
+    @pytest.mark.parametrize("dt, horizon", [(0.0, 1.0), (math.nan, 1.0), (1e-3, math.inf),
+                                             (5e-324, 1.0)])
+    def test_bad_steps_rejected(self, dt, horizon):
+        with pytest.raises(ValueError, match="dt and horizon|step count"):
+            variational_consistency(numeric("1 + x1*x2^2"), (1.0, 0.0, 0.0, 0.0),
+                                    dt=dt, horizon=horizon)
 
     def test_non_invariant_rejected(self):
         # no Potential violates invariance, so a NumericPotential, which is

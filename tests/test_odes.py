@@ -433,6 +433,17 @@ class TestNormalized:
                                     - want) == 0
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("coeffs", [(), (MPoly.zero(),), (x, MPoly.zero())])
+    def test_linear_needs_nonzero_leading_coefficient(self, coeffs):
+        with pytest.raises(ValueError, match="leading coefficient must be nonzero"):
+            LinearODE("x", coeffs)
+
+    def test_nonlinear_must_be_quadratic_in_the_jet(self):
+        with pytest.raises(ValueError, match="equation must be quadratic in the jet of y"):
+            NonlinearODE("x", MPoly.var("y"))
+
+
 class TestCancel:
     def test_divides_each_factor_as_often_as_it_goes(self):
         num = 6 * x ** 2 * (x + 1)
