@@ -168,11 +168,7 @@ def _cmd_derive_odes(args) -> int:
         out["NL2"] = {"unknown": "y(x)", "poly": nl2.poly.to_text(),
                       "text": nl2.to_text()}
     report = _report("derive-odes", {"emit": args.emit}, out)
-    lines = []
-    for name in ("L", "NL", "L2", "NL2"):
-        if name in out:
-            lines.append(f"{name}: {out[name]['text']}")
-    _emit(report, args.json, lines)
+    _emit(report, args.json, [f"{name}: {eq['text']}" for name, eq in out.items()])
     return 0
 
 

@@ -45,6 +45,7 @@ class LinearODE(NamedTuple("LinearODE", [("var", str), ("coeffs", Tuple[MPoly, .
     """sum_j coeffs[j] * u^(j) = 0 in the unknown u(var)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, var: str, coeffs: Tuple[MPoly, ...]):
         if not coeffs or coeffs[-1].is_zero:
@@ -62,13 +63,8 @@ class LinearODE(NamedTuple("LinearODE", [("var", str), ("coeffs", Tuple[MPoly, .
         return LinearODE(self.var, tuple(cf * scale for cf in self.coeffs))
 
     def to_text(self) -> str:
-        parts = []
-        for j in range(self.order, -1, -1):
-            if self.coeffs[j].is_zero:
-                continue
-            deriv = "u" + "'" * j
-            parts.append(f"({self.coeffs[j].to_text()})*{deriv}")
-        return " + ".join(parts) + " = 0"
+        return " + ".join(f"({self.coeffs[j].to_text()})*u" + "'" * j
+                          for j in range(self.order, -1, -1) if self.coeffs[j]) + " = 0"
 
 
 class NonlinearODE(NamedTuple("NonlinearODE", [("var", str), ("poly", MPoly)])):
@@ -76,6 +72,7 @@ class NonlinearODE(NamedTuple("NonlinearODE", [("var", str), ("poly", MPoly)])):
     homogeneous of degree two in that jet, with x-polynomial coefficients."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, var: str, poly: MPoly):
         if any(sum(jets) != 2 for jets in poly.split(Y_JETS)):
@@ -210,9 +207,8 @@ def specialize_quartic(conditions: DiffCondition) -> Tuple[LinearODE, NonlinearO
                            phi_jet(2): MPoly.var("yp"),
                            phi_jet(3): MPoly.var("ypp")})
     nonlinear = NonlinearODE("x1", nl_poly).normalized()
-    for cf in linear.coeffs:
-        if "a" in cf.vars:
-            raise AssertionError("constant term of alpha leaked into the linear equation")
+    if any("a" in cf.vars for cf in linear.coeffs):
+        raise AssertionError("constant term of alpha leaked into the linear equation")
     if "a" in nonlinear.poly.vars:
         raise AssertionError("constant term of alpha leaked into the nonlinear equation")
     return linear, nonlinear
@@ -251,7 +247,7 @@ def branch_system(branch: Branch,
     l2, nl2 = base if base is not None else generic_quartic_system()
     if not branch.constraints:
         return l2, nl2
-    subs = {k: v for k, v in branch.constraints.items()}
+    subs = branch.constraints
     return (LinearODE(l2.var, tuple(cf.subs(subs) for cf in l2.coeffs)).normalized(),
             NonlinearODE(nl2.var, nl2.poly.subs(subs)).normalized())
 
@@ -419,9 +415,8 @@ def rational_kernel(ode: LinearODE, denom: MPoly, denom_exponent: int,
         if poly.coefficient(x, col).leading()[1] < 0:
             poly = -poly
         nums.append(poly)
-    for p_num in nums:
-        if not _residual_parts(ode, p_num, factors)[0].is_zero:
-            raise AssertionError("kernel element fails the residual re-check")
+    if any(_residual_parts(ode, p_num, factors)[0] for p_num in nums):
+        raise AssertionError("kernel element fails the residual re-check")
     return SolutionBasis(x, denom, denom_exponent, extra_pole_order,
                          numerator_degree_bound, tuple(nums), anchor)
 

@@ -170,6 +170,7 @@ class Potential(NamedTuple("Potential", [("v", MPoly), ("phi", MPoly), ("alpha",
     construction rejects a V whose flow does not preserve the plane."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, v: MPoly, phi: MPoly, alpha: MPoly):
         linear = v.diff("x2").subs({"x2": 0})

@@ -195,6 +195,16 @@ class TestConicIncompatibility:
         res = conic_incompatibility(forms, {})
         assert res.verdict == "incompatible"
 
+    def test_dataclasses_replace_flips_a_verdict(self):
+        # perfbench's gate test flips a verdict this way; a raise there
+        # would count as a failed op and pass without reaching the gate
+        import dataclasses
+        forms = [_product_form(0, "K1", "K2"), _product_form(1, "K1", "K3")]
+        res = conic_incompatibility(forms, {})
+        flipped = dataclasses.replace(res, verdict="incompatible", witness=None)
+        assert type(flipped) is IncompatibilityResult
+        assert flipped == res._replace(verdict="incompatible", witness=None)
+
     def test_shared_plane_compatible(self):
         forms = [_product_form(0, "K1", "K2"), _product_form(1, "K1", "K3")]
         res = conic_incompatibility(forms, {})

@@ -443,6 +443,12 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="equation must be quadratic in the jet of y"):
             NonlinearODE("x", MPoly.var("y"))
 
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match="leading coefficient must be nonzero"):
+            LinearODE("x", (x,))._replace(coeffs=())
+        with pytest.raises(ValueError, match="equation must be quadratic in the jet of y"):
+            NonlinearODE("x", MPoly.var("y") ** 2)._replace(poly=MPoly.var("y"))
+
 
 class TestCancel:
     def test_divides_each_factor_as_often_as_it_goes(self):

@@ -37,6 +37,8 @@ def test_direct_construction_is_checked():
     with pytest.raises(InvariantPlaneError) as info:
         Potential(x1 * x2, MPoly.zero(), MPoly.zero())
     assert str(info.value).endswith("offending linear part: (x1) * x2")
+    with pytest.raises(InvariantPlaneError):
+        parse_potential("x1^2*x2^2")._replace(v=x1 * x2)
 
 
 def test_negative_exponent_is_syntax_error():
