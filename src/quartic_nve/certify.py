@@ -22,7 +22,7 @@ So the common zeros are the rank-1 members of W(N), and n = dim N decides:
 
 Every verdict carries a transcript (rank, kernel basis and the quantity
 that decided) that can be re-checked by evaluation without re-running the
-pipeline; a witness K is re-verified against every conic as row . v(K) = 0.
+pipeline; a witness K is re-verified by substituting it into Q.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, Scalar, exact_div, poly_gcd
-from .odes import (BRANCHES, BRANCH_ANCHORS, Branch, NonlinearODE, SolutionBasis,
+from .odes import (BRANCHES, Branch, NonlinearODE, SolutionBasis,
                    _product, _residual_parts, branch_system, degeneration_branches,
                    generic_quartic_system, rational_basis,
                    DERIVED_NL_WEIGHTS, PUBLISHED_NL_WEIGHTS)
@@ -224,11 +224,6 @@ def _veronese_row(form: QuadraticForm, point: Dict[str, Fraction]) -> List[Fract
     return [p.evaluate(point) for p in form.row]
 
 
-def _veronese(k: Sequence[Fraction]) -> List[Fraction]:
-    """v(K) = (K1^2, K2^2, K3^2, K1K2, K1K3, K2K3)."""
-    return [k[0] ** i * k[1] ** j * k[2] ** l for i, j, l in _QUADRATIC]
-
-
 def _kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Kernel basis in reduced echelon form: each vector is scaled by its
     last nonzero entry, which sits at its free column."""
@@ -355,13 +350,6 @@ def _draw_specialization(branch: Branch, seed: int, trial: int) -> Dict[str, Fra
     return values
 
 
-EXPECTED_DEGENERATIONS = {
-    "generic": ("b_zero", "c_zero"),
-    "b_zero": ("c_zero",),
-    "c_zero": (),
-}
-
-
 def verify_quartic_theorem(trials: int = 20, seed: int = 0) -> Certificate:
     """Run the full pipeline and certify the classification branch by branch.
 
@@ -389,7 +377,7 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0) -> Certificate:
     for branch in BRANCHES:
         lb, nb = branch_system(branch, (l2, nl2))
         try:
-            basis = rational_basis(lb, BRANCH_ANCHORS[branch.name])
+            basis = rational_basis(lb, branch.anchor)
         except Exception as exc:
             return fail(f"kernel[{branch.name}]", str(exc))
         if basis.dimension != 3:
@@ -397,10 +385,9 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0) -> Certificate:
                         f"kernel dimension {basis.dimension}, expected 3")
         report = degeneration_branches(basis)
         got = tuple(b.name for b in report.branches)
-        if got != EXPECTED_DEGENERATIONS[branch.name] or not report.complete:
+        if got != branch.degenerations or not report.complete:
             return fail(f"degeneration[{branch.name}]",
-                        f"degeneration branches {got}, expected "
-                        f"{EXPECTED_DEGENERATIONS[branch.name]}")
+                        f"degeneration branches {got}, expected {branch.degenerations}")
         try:
             q = build_Q(nb, basis)
             forms = extract_forms(q)
@@ -417,12 +404,12 @@ def verify_quartic_theorem(trials: int = 20, seed: int = 0) -> Certificate:
             point = _draw_specialization(branch, seed, t)
             result = conic_incompatibility(forms, point)
             if result.verdict == "compatible" and result.witness is not None:
-                # soundness: the witness must annihilate every conic exactly
-                image = _veronese(result.witness)
-                for f in forms:
-                    if sum(r * v for r, v in zip(_veronese_row(f, point), image)):
-                        return fail(f"witness[{branch.name}]",
-                                    f"reported witness fails conic {f.index}")
+                # soundness: the witness must annihilate Q, whose x^i
+                # coefficient is conic i, exactly
+                rest = q.subs({**point, **dict(zip(K_VARS, result.witness))})
+                if rest:
+                    return fail(f"witness[{branch.name}]",
+                                f"reported witness fails conic {min(rest.collect('x'))}")
             records.append(TrialRecord(point, result.verdict, result.witness,
                                        result.digest))
             if result.verdict == "compatible" and not witness_summary:

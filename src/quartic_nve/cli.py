@@ -20,9 +20,12 @@ from .certify import NONINTEGRABILITY_NOTE, verify_quartic_theorem
 from .dynamics import (NumericPotential, integrate_hamilton,
                        nve_coefficient_samples, polynomial_degree_test)
 from .jets import conditions_vanish, generate_conditions
-from .odes import (BRANCHES, BRANCH_ANCHORS, branch_system, center_and_reduce,
+from .odes import (BRANCHES, branch_system, center_and_reduce, generic_quartic_system,
                    quotient_text, rational_basis, specialize_quartic)
 from .potential import InvariantPlaneError, ParseError, parse_potential
+
+# the kernel command's --case names of the BRANCHES rows
+_CASES = dict(zip(("generic", "b0", "c0"), BRANCHES))
 
 # a key ending in "?" names a field that only some reports carry
 REPORT_SCHEMAS = {
@@ -47,7 +50,7 @@ REPORT_SCHEMAS = {
                             "text": "equation text"}},
     },
     "kernel": {
-        "result": {"case": "generic|b0|c0", "dimension": "int",
+        "result": {"case": "|".join(_CASES), "dimension": "int",
                    "denominator": "text", "denominator_exponent": "int",
                    "extra_pole_order": "int", "numerator_degree_bound": "int",
                    "numerators": ["text"], "wronskian": "text"},
@@ -172,13 +175,10 @@ def _cmd_derive_odes(args) -> int:
     return 0
 
 
-_CASE_TO_BRANCH = {"generic": "generic", "b0": "b_zero", "c0": "c_zero"}
-
-
 def _cmd_kernel(args) -> int:
-    branch = next(b for b in BRANCHES if b.name == _CASE_TO_BRANCH[args.case])
-    lb, _ = branch_system(branch)
-    basis = rational_basis(lb, BRANCH_ANCHORS[branch.name])
+    branch = _CASES[args.case]
+    lb, _ = branch_system(branch, generic_quartic_system())
+    basis = rational_basis(lb, branch.anchor)
     payload = {"case": args.case,
                "dimension": basis.dimension,
                "denominator": basis.denominator.to_text(),
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive_odes)
 
     p = sub.add_parser("kernel", help="rational solution basis per branch")
-    p.add_argument("--case", choices=("generic", "b0", "c0"), required=True)
+    p.add_argument("--case", choices=_CASES, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_kernel)
 

@@ -21,6 +21,8 @@ from .mpoly import MPoly
 from .potential import Potential
 
 DIVERGENCE_LIMIT = 1e8
+# the most fixed steps one integration takes: 100 times the CLI default
+MAX_STEPS = 10 ** 6
 # pass threshold on the normalised forward differences, and the coarsest
 # sampling step they start from
 DEGREE_TEST_TOL = 1e-6
@@ -124,8 +126,8 @@ def _step_count(horizon: float, dt: float) -> int:
     """The number of fixed steps of size dt that cover the horizon."""
     if not (math.isfinite(dt) and math.isfinite(horizon)) or dt <= 0 or horizon <= 0:
         raise ValueError("dt and horizon must be positive and finite")
-    if not math.isfinite(horizon / dt):
-        raise ValueError("horizon / dt overflows the step count")
+    if not horizon / dt <= MAX_STEPS:
+        raise ValueError(f"horizon / dt overflows the step count limit {MAX_STEPS}")
     return int(round(horizon / dt))
 
 
@@ -148,7 +150,7 @@ def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
     Initial data on the invariant plane stays there to machine precision.
     Trajectories whose state magnitude exceeds DIVERGENCE_LIMIT are
     truncated and flagged.  Non-finite dt, horizon or initial data, or a
-    step count horizon / dt beyond the float range, raise ValueError.
+    step count horizon / dt above MAX_STEPS, raise ValueError.
     """
     steps = _step_count(horizon, dt)
     state = tuple(float(v) for v in init)

@@ -62,12 +62,6 @@ def total_x1_derivative(p: MPoly) -> MPoly:
     return out
 
 
-def lie_derivative(p: MPoly) -> MPoly:
-    """One application of X_h to a polynomial in y1 and the jets."""
-    return (MPoly.var(Y1) * total_x1_derivative(p)
-            - MPoly.var(phi_jet(1)) * p.diff(Y1))
-
-
 class EnkTable(NamedTuple):
     """Coefficients E(n,k) of y1^k in X_h^n alpha, for 1 <= n <= max_n."""
 

@@ -18,9 +18,9 @@ equation above, and the toolkit treats the derived equation as authoritative
 Rational solution bases for (L2) and its b = 0 / c = 0 specialisations are
 found in an ansatz read off the indicial equations of (L2) (pole orders at
 the roots of alpha', numerator degree at infinity; Abramov 1989) and
-normalised to reduced echelon form with respect to fixed numerator-coefficient
-anchors, which reproduces the classical bases together with their
-degeneration loci.
+normalised to reduced echelon form with respect to numerator-coefficient
+anchors (pinned on the generic branch, lex-first on b = 0 and c = 0), which
+reproduces the classical bases together with their degeneration loci.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .jets import DiffCondition, alpha_jet, phi_jet, x1_jets
+from .jets import DiffCondition, alpha_jet, generate_conditions, phi_jet, x1_jets
 from .linsolve import matrix_kernel
 from .mpoly import MPoly, det_mpoly, exact_div, poly_gcd
 
@@ -119,9 +119,6 @@ class SolutionBasis(NamedTuple):
         return _pole_factors(self.var, self.denominator, self.denominator_exponent,
                              self.extra_pole_order)
 
-    def full_denominator(self) -> MPoly:
-        return _product(self.factors())
-
     def numerator_wronskian(self) -> MPoly:
         rows = []
         cur = list(self.numerators)
@@ -138,10 +135,18 @@ class SolutionBasis(NamedTuple):
 
 
 class Branch(NamedTuple):
-    """Parameter stratum of the case analysis; e != 0 is implicit on all."""
+    """Parameter stratum of the case analysis; e != 0 is implicit on all.
+
+    On a row of BRANCHES, `anchor` is the kernel anchor its basis is solved
+    at (None: the lex-first valid anchor) and `degenerations` names the
+    components the certificate expects that basis to degenerate on.  The
+    children that `degeneration_branches` reports keep both defaults.
+    """
 
     name: str
     constraints: Dict[str, Fraction]
+    anchor: Optional[Tuple[int, ...]] = None
+    degenerations: Tuple[str, ...] = ()
 
     @property
     def live(self) -> Tuple[str, ...]:
@@ -149,21 +154,18 @@ class Branch(NamedTuple):
         return tuple(p for p in ("b", "c", "e") if p not in self.constraints)
 
 
+# Reduced-echelon anchors (numerator coefficient positions) reproducing the
+# classical solution bases; b_zero and c_zero take the lex-first valid
+# triples, the generic anchor is pinned so that the basis degenerates
+# exactly on {b=0} and {c=0} as in the classical case split.
 BRANCHES: Tuple[Branch, ...] = (
-    Branch("generic", {}),
-    Branch("b_zero", {"b": Fraction(0)}),
+    Branch("generic", {}, (0, 2, 3), ("b_zero", "c_zero")),
+    Branch("b_zero", {"b": Fraction(0)}, None, ("c_zero",)),
     Branch("c_zero", {"c": Fraction(0)}),
 )
 
-# Reduced-echelon anchors (numerator coefficient positions) reproducing the
-# classical solution bases; b_zero and c_zero are the lex-first valid
-# triples, the generic anchor is pinned so that the basis degenerates
-# exactly on {b=0} and {c=0} as in the classical case split.
-BRANCH_ANCHORS: Dict[str, Tuple[int, ...]] = {
-    "generic": (0, 2, 3),
-    "b_zero": (0, 3, 4),
-    "c_zero": (0, 1, 2),
-}
+# read only by perfbench/run.py
+BRANCH_ANCHORS = {b.name: b.anchor for b in BRANCHES}
 
 # Constant weights (y^2, y*y', (y')^2, y*y'') relative to
 # (alpha''', alpha'', alpha', alpha') in the quadratic condition:
@@ -234,17 +236,15 @@ def center_and_reduce(linear: LinearODE, nonlinear: NonlinearODE
 
 def generic_quartic_system() -> Tuple[LinearODE, NonlinearODE]:
     """The centered system (L2, NL2) with symbolic b, c, e."""
-    from .jets import generate_conditions
     linear, nonlinear = specialize_quartic(generate_conditions(4))
     l2, nl2, _ = center_and_reduce(linear, nonlinear)
     return l2, nl2
 
 
-def branch_system(branch: Branch,
-                  base: Optional[Tuple[LinearODE, NonlinearODE]] = None
+def branch_system(branch: Branch, base: Tuple[LinearODE, NonlinearODE]
                   ) -> Tuple[LinearODE, NonlinearODE]:
     """Specialise (L2, NL2) to a parameter stratum of the case analysis."""
-    l2, nl2 = base if base is not None else generic_quartic_system()
+    l2, nl2 = base
     if not branch.constraints:
         return l2, nl2
     subs = branch.constraints

@@ -28,6 +28,7 @@ import pytest
 
 from conic_oracle import common_projective_zero_exists
 from forms import form_poly, form_value
+from lie import lie_derivative
 from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
                                  EXTRA_FAMILY, THEOREM_CONCLUSION, build_Q,
                                  conic_incompatibility, extract_forms,
@@ -37,9 +38,9 @@ from quartic_nve.dynamics import (NumericPotential, integrate_hamilton,
                                   polynomial_degree_test,
                                   variational_consistency)
 from quartic_nve.jets import (alpha_jet, conditions_vanish, enk_table,
-                              generate_conditions, lie_derivative)
+                              generate_conditions)
 from quartic_nve.mpoly import MPoly, poly_gcd
-from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, DERIVED_NL_WEIGHTS,
+from quartic_nve.odes import (BRANCHES, DERIVED_NL_WEIGHTS,
                               PUBLISHED_NL_WEIGHTS, Y_JETS, LinearODE,
                               NonlinearODE, _product, branch_system, cancel,
                               center_and_reduce, degeneration_branches,
@@ -72,7 +73,7 @@ def pipeline():
     out = {}
     for br in BRANCHES:
         lb, nb = branch_system(br, (l2, nl2))
-        basis = rational_basis(lb, BRANCH_ANCHORS[br.name])
+        basis = rational_basis(lb, br.anchor)
         out[br.name] = (lb, nb, basis)
     return linear, nonlinear, out
 
@@ -118,7 +119,7 @@ def test_criterion_3_kernel_dimensions(pipeline):
     details = []
     for name, (lb, _, basis) in branches.items():
         dim_ok = basis.dimension == 3
-        res_ok = all(solves(lb, num, basis.full_denominator())
+        res_ok = all(solves(lb, num, _product(basis.factors()))
                      for num in basis.numerators)
         ok = ok and dim_ok and res_ok
         details.append(f"{name}: dim {basis.dimension}, residuals "

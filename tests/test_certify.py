@@ -16,7 +16,7 @@ from quartic_nve.certify import (EXPECTED_NUM_FORMS, EXPECTED_Q_DEGREE,
                                  verify_quartic_theorem)
 from quartic_nve.jets import generate_conditions
 from quartic_nve.mpoly import MPoly
-from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, NonlinearODE,
+from quartic_nve.odes import (BRANCHES, Branch, NonlinearODE, _product,
                               branch_system, center_and_reduce,
                               rational_basis, solves,
                               specialize_quartic)
@@ -33,7 +33,7 @@ def pipeline():
     out = {}
     for br in BRANCHES:
         lb, nb = branch_system(br, (l2, nl2))
-        basis = rational_basis(lb, BRANCH_ANCHORS[br.name])
+        basis = rational_basis(lb, br.anchor)
         q = build_Q(nb, basis)
         out[br.name] = (lb, nb, basis, q, extract_forms(q))
     return out
@@ -78,7 +78,7 @@ class TestBuildQ:
                       "e": Fraction(rng.randint(1, 6))}
                 ks = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
                 xv = Fraction(rng.randint(2, 9))
-                den = basis.full_denominator()
+                den = _product(basis.factors())
                 num = sum((k * n for k, n in zip(ks, basis.numerators)), MPoly.zero())
                 point = dict(pt)
                 point["x"] = xv
@@ -428,6 +428,49 @@ class TestVerifyQuarticTheorem:
         cert = verify_quartic_theorem(trials=1, seed=0)
         assert cert.status == "fail"
         assert cert.failing_stage == "witness[b_zero]"
+
+    @pytest.mark.parametrize("wrong", [(0, 1, 0), (1, 1, 1), (1, 0, None)])
+    def test_wrong_witness_names_first_failing_conic(self, monkeypatch, pipeline, wrong):
+        # the witness is re-checked against Q; the conic named is the first
+        # whose Veronese row the witness does not annihilate
+        import quartic_nve.certify as certify
+        honest = certify.conic_incompatibility
+        point = certify._draw_specialization(BRANCHES[1], 0, 0)
+        witness = tuple(Fraction(4 * point["e"] ** 2 + 1 if w is None else w)
+                        for w in wrong)
+
+        def lying(forms, specialization):
+            result = honest(forms, specialization)
+            if "b" in specialization:
+                return result
+            return IncompatibilityResult("compatible", witness, "wrong witness",
+                                         result.transcript)
+
+        monkeypatch.setattr(certify, "conic_incompatibility", lying)
+        cert = verify_quartic_theorem(trials=1, seed=0)
+        first = next(f.index for f in pipeline["b_zero"][4]
+                     if form_value(f, witness, point))
+        assert cert.failing_stage == "witness[b_zero]"
+        assert cert.conclusion == (
+            f"verification aborted: reported witness fails conic {first}")
+
+    def test_degeneration_disagreement_detected(self, monkeypatch):
+        # a report that names a component its row does not expect fails the
+        # certificate at that row's degeneration stage
+        import quartic_nve.certify as certify
+        honest = certify.degeneration_branches
+
+        def extra_child(basis):
+            report = honest(basis)
+            return report._replace(branches=report.branches + (Branch("e_zero", {"e": 0}),))
+
+        monkeypatch.setattr(certify, "degeneration_branches", extra_child)
+        cert = verify_quartic_theorem(trials=1, seed=0)
+        assert cert.status == "fail"
+        assert cert.failing_stage == "degeneration[generic]"
+        assert cert.conclusion == (
+            "verification aborted: degeneration branches ('b_zero', 'c_zero', 'e_zero'), "
+            "expected ('b_zero', 'c_zero')")
 
     def test_json_round_trip(self):
         cert = verify_quartic_theorem(trials=1, seed=2)

@@ -278,12 +278,14 @@ class TestSimulate:
         assert data["result"]["diverged"] is True
         assert "degree_test" not in data["result"]
 
-    # the last two are finite, but horizon / dt overflows the step count
+    # the last three are finite, but horizon / dt overflows the step count
+    # limit: 1e300 steps would all be integrated and kept
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
                                              ("--dt", "nan"), ("--dt", "inf"),
                                              ("--init", "1,0,0,nan"),
                                              ("--init", "inf,0,0,0"),
-                                             ("--dt", "5e-324"), ("--T", "1e308")])
+                                             ("--dt", "5e-324"), ("--T", "1e308"),
+                                             ("--dt", "1e-300")])
     def test_non_finite_input_usage_error(self, capsys, flag, value):
         args = {"--init": "1,0,0,0", "--dt": "1e-3", "--T": "1"}
         args[flag] = value

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from quartic_nve.dynamics import (DEGREE_TEST_STRIDE, DIVERGENCE_LIMIT,
-                                  NumericPotential, Trajectory,
+from quartic_nve.dynamics import (DEGREE_TEST_STRIDE, DIVERGENCE_LIMIT, MAX_STEPS,
+                                  NumericPotential, Trajectory, _step_count,
                                   integrate_hamilton, nve_coefficient_samples,
                                   polynomial_degree_test,
                                   variational_consistency)
@@ -61,10 +61,14 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_hamilton(numeric("1"), (0, 0, 0, 0), -1e-3, 1.0)
 
-    @pytest.mark.parametrize("dt, horizon", [(5e-324, 1.0), (1e-308, 1e308)])
+    # the last is finite, but 10^7 steps is above MAX_STEPS
+    @pytest.mark.parametrize("dt, horizon", [(5e-324, 1.0), (1e-308, 1e308), (1e-7, 1.0)])
     def test_overflowing_step_count_rejected(self, dt, horizon):
-        with pytest.raises(ValueError, match="overflows the step count"):
+        with pytest.raises(ValueError, match=f"overflows the step count limit {MAX_STEPS}$"):
             integrate_hamilton(numeric("1"), (0, 0, 0, 0), dt, horizon)
+
+    def test_step_count_limit_is_inclusive(self):
+        assert _step_count(float(MAX_STEPS), 1.0) == MAX_STEPS
 
 
 class TestNveSamples:

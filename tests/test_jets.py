@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from lie import lie_derivative
 from quartic_nve.jets import (alpha_jet, conditions_vanish, enk_table,
-                              generate_conditions, lie_derivative, phi_jet)
+                              generate_conditions, phi_jet)
 from quartic_nve.mpoly import MPoly
 
 y1 = MPoly.var("y1")

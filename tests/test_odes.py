@@ -8,7 +8,7 @@ import pytest
 
 from quartic_nve.jets import generate_conditions
 from quartic_nve.mpoly import MPoly, poly_gcd
-from quartic_nve.odes import (BRANCH_ANCHORS, BRANCHES, Ansatz, LinearODE, NonlinearODE,
+from quartic_nve.odes import (BRANCHES, Ansatz, LinearODE, NonlinearODE,
                               SolutionBasis, _jet_numerators, _product,
                               ansatz_denominator, branch_system, cancel,
                               center_and_reduce, degeneration_branches, derive_ansatz,
@@ -35,7 +35,7 @@ def branch_bases(quartic_system):
     out = {}
     for br in BRANCHES:
         lb, nb = branch_system(br, (l2, nl2))
-        out[br.name] = (lb, nb, rational_basis(lb, BRANCH_ANCHORS[br.name]))
+        out[br.name] = (lb, nb, rational_basis(lb, br.anchor))
     return out
 
 
@@ -200,7 +200,7 @@ class TestRationalKernel:
     def test_residuals_vanish(self, branch_bases):
         for name in FROZEN_BASES:
             lb, _, basis = branch_bases[name]
-            den = basis.full_denominator()
+            den = _product(basis.factors())
             for num in basis.numerators:
                 assert solves(lb, num, den)
                 # third order: the residual sits over den^(1 + 3)
@@ -233,7 +233,7 @@ class TestRationalKernel:
             assert ansatz_denominator(lb) == (denom, extra)
             assert basis.numerator_degree_bound == 6
             # a larger bound finds no further solution
-            wider = rational_kernel(lb, denom, 3, extra, 8, anchor=BRANCH_ANCHORS[name])
+            wider = rational_kernel(lb, denom, 3, extra, 8, anchor=basis.anchor)
             assert wider.numerators == basis.numerators, name
 
     def test_multiple_root_at_x_rejected(self, quartic_system):
@@ -272,7 +272,7 @@ class TestRationalKernel:
         # classical N1, N3 are genuine solutions; the printed N2 is not
         # (its x^6 coefficient is a typo) -- the derived kernel is authoritative
         lb, _, basis = branch_bases["generic"]
-        den = basis.full_denominator()
+        den = _product(basis.factors())
         assert solves(lb, PUBLISHED_N1, den)
         assert solves(lb, PUBLISHED_N3, den)
         assert not solves(lb, PUBLISHED_N2_PRINTED, den)
@@ -282,11 +282,11 @@ class TestRationalKernel:
 
     def test_published_branch_numerators_verify(self, branch_bases):
         lbA, _, basisA = branch_bases["b_zero"]
-        denA = basisA.full_denominator()
+        denA = _product(basisA.factors())
         for num in PUBLISHED_A:
             assert solves(lbA, num, denA)
         lbB, _, basisB = branch_bases["c_zero"]
-        denB = basisB.full_denominator()
+        denB = _product(basisB.factors())
         for num in PUBLISHED_B:
             assert solves(lbB, num, denB)
 
@@ -296,7 +296,7 @@ class TestRationalKernel:
         for name in FROZEN_BASES:
             _, _, basis = branch_bases[name]
             num_w = basis.numerator_wronskian()
-            den = basis.full_denominator() ** 3
+            den = _product(basis.factors()) ** 3
             w, pole = basis.wronskian()
             assert w * den == num_w * _product(pole)
             assert not w.is_zero
@@ -342,12 +342,21 @@ class TestRationalKernel:
             with pytest.raises(ValueError, match="not valid"):
                 kernel("generic", anchor=(0, 1, last))
 
+    def test_row_anchors_give_classical_bases(self, branch_bases):
+        # each row's anchor (None: lex-first) solves to the basis at the
+        # classical anchors, anchor field included
+        classical = {"generic": (0, 2, 3), "b_zero": (0, 3, 4), "c_zero": (0, 1, 2)}
+        for br in BRANCHES:
+            lb, _, basis = branch_bases[br.name]
+            assert basis == rational_basis(lb, classical[br.name]), br.name
+            assert basis.anchor == classical[br.name]
+
     def test_degree_bound_below_kernel_rejected(self, branch_bases):
         # bound 4 leaves one kernel vector for a three-entry anchor
         lb, _, _ = branch_bases["b_zero"]
         denom, pole = ansatz_denominator(lb)
         with pytest.raises(ValueError, match="kernel dimension 1"):
-            rational_kernel(lb, denom, 3, pole, 4, anchor=BRANCH_ANCHORS["b_zero"])
+            rational_kernel(lb, denom, 3, pole, 4, anchor=(0, 3, 4))
 
     def test_unknown_name_in_coefficients_rejected(self):
         # a coefficient using the ansatz unknown's name p0 makes the residual
