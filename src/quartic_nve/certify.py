@@ -5,7 +5,10 @@ into the quadratic branch equation; clearing the structured denominator
 leaves a polynomial Q(x; K1, K2, K3; params) that is homogeneous of degree
 two in K.  Each x-power contributes one conic C_i in the projective plane
 with homogeneous coordinates (K1 : K2 : K3), and the branch claim is decided
-by linear algebra on these conics at exact rational parameter points.
+by linear algebra on these conics at exact rational parameter points.  Each
+conic's coefficient row is compiled once to integer terms; at a point it
+is evaluated times a nonzero integer scale, so the rows are integers, the
+elimination runs in Z, and the kernel is that of the rational rows.
 
 K is a common zero exactly when its Veronese image v(K) = (K1^2, K2^2,
 K3^2, K1K2, K1K3, K2K3) lies in the kernel N of the conics' coefficient
@@ -30,12 +33,12 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm, prod
 from types import SimpleNamespace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linsolve import matrix_kernel
-from .mpoly import MPoly, Scalar, exact_div, poly_gcd
+from .mpoly import MPoly, Scalar, _lift, canonical_vars, exact_div, poly_gcd
 from .odes import (BRANCHES, Branch, NonlinearODE, SolutionBasis,
                    _product, _residual_parts, branch_system, degeneration_branches,
                    generic_quartic_system, rational_basis,
@@ -73,10 +76,13 @@ _QUARTIC = sorted({tuple(i + j for i, j in zip(p, q)) for p in _QUADRATIC for q 
 
 class QuadraticForm(NamedTuple):
     """One conic C_i as its Veronese row: the coefficients of K1^2, K2^2,
-    K3^2, K1K2, K1K3, K2K3, so that C_i = row . v(K)."""
+    K3^2, K1K2, K1K3, K2K3, so that C_i = row . v(K).  `ints` is the row
+    scaled to integer coefficients: (parameters, the top power of each,
+    one [(coefficient, exponents)] table per entry)."""
 
     index: int
     row: Tuple[MPoly, ...]
+    ints: Tuple[Tuple[str, ...], Tuple[int, ...], Tuple[tuple, ...]]
 
     @property
     def matrix(self) -> Tuple[Tuple[MPoly, ...], ...]:
@@ -122,7 +128,7 @@ def extract_forms(q: MPoly) -> List[QuadraticForm]:
         if sum(kexp) != 2:
             raise ValueError("Q is not homogeneous of degree 2 in K1, K2, K3")
         rows[i][_QUADRATIC.index(tuple(kexp))] = coeff
-    forms = [QuadraticForm(i, tuple(r)) for i, r in enumerate(rows)]
+    forms = [QuadraticForm(i, tuple(r), _compile(r)) for i, r in enumerate(rows)]
     # reassembly must reproduce q exactly: Q = sum_i x^i row_i . v(K),
     # gathered into one term map per coefficient-variable tuple
     by_vars: Dict[Tuple[str, ...], Dict[Tuple[int, ...], Fraction]] = {}
@@ -135,6 +141,16 @@ def extract_forms(q: MPoly) -> List[QuadraticForm]:
     if recon != q:
         raise AssertionError("conic reassembly does not reproduce Q")
     return forms
+
+
+def _compile(row: Sequence[MPoly]):
+    """QuadraticForm.ints of a Veronese row, scaled by the lcm of its
+    coefficient denominators."""
+    names = canonical_vars(v for p in row for v in p.vars)
+    den = lcm(*[q.denominator for p in row for q in p.terms.values()])
+    table = tuple(tuple((q.numerator * (den // q.denominator), e)
+                        for e, q in _lift(p, names).items()) for p in row)
+    return names, tuple(map(max, zip(*[e for entry in table for _, e in entry]))), table
 
 
 class IncompatibilityResult(NamedTuple):
@@ -165,13 +181,18 @@ def conic_incompatibility(forms: Sequence[QuadraticForm],
     when no kernel basis vector is one (kernel dimension >= 3), and the
     description then says which.
     """
+    missing = canonical_vars(v for f in forms for v in f.ints[0] if v not in specialization)
+    if missing:
+        raise ValueError(f"specialization lacks parameter(s) {', '.join(missing)}")
     point = {k: Fraction(v) for k, v in specialization.items()}
-    rows = [r for r in (_veronese_row(f, point) for f in forms) if any(r)]
+    rows = [r for r in (_integer_row(f, point) for f in forms) if any(r)]
     transcript = [f"specialization: {_fmt_point(point)}",
                   f"nonzero conics: {len(rows)} of {len(forms)}"]
     if len(rows) < 2:
         raise ValueError("need at least two nonzero conics after specialization")
-    kernel = _kernel(rows, 6)
+    basis, pivots = matrix_kernel(rows, 6)
+    # every vector is the last pivot D times the reduced echelon form
+    kernel = [[Fraction(v, pivots[-1]) for v in w] for w in basis]
     n = len(kernel)
     transcript.append(f"rank {6 - n}, nullity {n}")
     transcript.append("kernel basis: " + "; ".join(_fmt_vector(w) for w in kernel))
@@ -186,7 +207,8 @@ def conic_incompatibility(forms: Sequence[QuadraticForm],
         s, t = MPoly.var("s"), MPoly.var("t")
         g = MPoly.zero()
         for m in _minors([s * a + t * b for a, b in zip(*kernel)]):
-            if not m.is_zero:
+            # a minor that the running gcd divides leaves it unchanged
+            if m and not (g and _divides(g, m)):
                 g = poly_gcd(g, m)
         transcript.append(f"pencil gcd: {g.to_text()}")
         compatible = g.is_zero or not g.is_constant()
@@ -201,11 +223,11 @@ def conic_incompatibility(forms: Sequence[QuadraticForm],
         macaulay = []
         for r in rows:
             for mono in _QUADRATIC:
-                row = [Fraction(0)] * len(_QUARTIC)
+                row = [0] * len(_QUARTIC)
                 for coeff, q in zip(r, _QUADRATIC):
                     row[_QUARTIC.index(tuple(i + j for i, j in zip(mono, q)))] += coeff
                 macaulay.append(row)
-        rank = len(_QUARTIC) - len(_kernel(macaulay, len(_QUARTIC)))
+        rank = len(matrix_kernel(macaulay, len(_QUARTIC))[1])
         transcript.append(f"degree-4 Macaulay rank: {rank} of {len(_QUARTIC)}")
         compatible = rank < len(_QUARTIC)
         if rank_one is None:
@@ -219,20 +241,16 @@ def conic_incompatibility(forms: Sequence[QuadraticForm],
     return IncompatibilityResult("compatible", witness, description, tuple(transcript))
 
 
-def _veronese_row(form: QuadraticForm, point: Dict[str, Fraction]) -> List[Fraction]:
-    """The form's Veronese row at a parameter point."""
-    return [p.evaluate(point) for p in form.row]
-
-
-def _kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Kernel basis in reduced echelon form: each vector is scaled by its
-    last nonzero entry, which sits at its free column."""
-    basis, _ = matrix_kernel(rows, ncols)
-    scaled = []
-    for w in basis:
-        lead = next(v for v in reversed(w) if v)
-        scaled.append([v / lead for v in w])
-    return scaled
+def _integer_row(form: QuadraticForm, point: Dict[str, Fraction]) -> List[int]:
+    """The form's Veronese row at a parameter point times the integer
+    prod_v den(v)^top(v): a term c v^k gives c num(v)^k den(v)^(top - k)."""
+    names, top, table = form.ints
+    powers = []
+    for v, k in zip(names, top):
+        num, den = point[v].numerator, point[v].denominator
+        powers.append([num ** i * den ** (k - i) for i in range(k + 1)])
+    return [sum([c * prod(map(list.__getitem__, powers, e)) for c, e in entry])
+            for entry in table]
 
 
 def _symmetric(w: Sequence) -> Tuple[Tuple, ...]:
@@ -241,9 +259,20 @@ def _symmetric(w: Sequence) -> Tuple[Tuple, ...]:
 
 
 def _minors(w: Sequence) -> List:
+    # W is symmetric: rows (i, j) and columns (k, l) repeat columns (i, j)
+    # and rows (k, l), so 6 of the 9 minors are distinct
     m = _symmetric(w)
     pairs = ((0, 1), (0, 2), (1, 2))
-    return [m[i][k] * m[j][l] - m[i][l] * m[j][k] for i, j in pairs for k, l in pairs]
+    return [m[i][k] * m[j][l] - m[i][l] * m[j][k]
+            for n, (i, j) in enumerate(pairs) for k, l in pairs[n:]]
+
+
+def _divides(d: MPoly, p: MPoly) -> bool:
+    try:
+        exact_div(p, d)
+    except ValueError:
+        return False
+    return True
 
 
 def _witness(w: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:

@@ -1,14 +1,15 @@
 """Fraction-free elimination and kernels, in the ring of the entries.
 
-One routine serves rational rows (`Fraction`) and polynomial rows (`MPoly`
-over the parameters): it uses only `* - /` and truthiness, and `/` is
-exact division in both rings.  Elimination is Bareiss-style, so every
-entry stays an element of the input ring.  Back-substitution sets the free
-column to the last pivot D and solves each pivot column with one exact
-division; the kernel basis is then D times the reduced echelon form with
-respect to the free columns, so the caller chooses that normal form by
-ordering the columns.  `mpoly.det_mpoly` reads determinants off the same
-elimination.
+One routine serves integer rows (the conic systems at a parameter point)
+and `MPoly` rows over Q[b, c, e]: it uses only `* - //` and truthiness.
+Each of its divisions is exact, and `//` is then the exact quotient in
+both rings: floor division of a multiple in Z, `exact_div` on `MPoly`.
+Elimination is Bareiss-style, so every entry stays an element of the input
+ring.  Back-substitution sets the free column to the last pivot D and
+solves each pivot column with one exact division; the kernel basis is then
+D times the reduced echelon form with respect to the free columns, so the
+caller chooses that normal form by ordering the columns.
+`mpoly.det_mpoly` reads determinants off the same elimination.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _forward_eliminate(rows: List[list]):
         for i in range(r + 1, m):
             for j in range(col + 1, ncols):
                 cross = a[i][j] * piv - a[i][col] * a[r][j]
-                a[i][j] = cross if prev is None else cross / prev
+                a[i][j] = cross if prev is None else cross // prev
         prev = piv
         r += 1
         if r == m:
@@ -57,11 +58,16 @@ def matrix_kernel(rows: Sequence[Sequence], ncols: int):
     is D at f, 0 at the other free columns, and solved on the pivot
     columns, where D is the last pivot: the r x r minor on the pivot rows
     and columns (1 when the matrix is zero).  By Cramer's rule every entry
-    is then an r x r minor of the input, so each division is exact; an
-    inexact one raises.  Past f the vector is 0, so its last nonzero entry
-    is the D at f.  Over the parameters the kernel can fail to specialise
-    only where a pivot vanishes.
+    is then an r x r minor of the input, so each division is exact.  Past
+    f the vector is 0, so its last nonzero entry is the D at f.  Over the
+    parameters the kernel can fail to specialise only where a pivot
+    vanishes.  An entry that is neither `int` nor `MPoly` raises TypeError,
+    since `//` would floor it.
     """
+    from .mpoly import MPoly  # mpoly imports this module
+
+    for v in (v for r in rows for v in r if not isinstance(v, (int, MPoly))):
+        raise TypeError(f"matrix entry of type {type(v).__name__}; expected int or MPoly")
     ech, pivots, _ = _forward_eliminate([r for r in rows if any(r)])
     d = ech[pivots[-1][0]][pivots[-1][1]] if pivots else 1
     pivot_cols = [c for (_, c) in pivots]
@@ -74,6 +80,6 @@ def matrix_kernel(rows: Sequence[Sequence], ncols: int):
             for j in range(c + 1, ncols):
                 if ech[r][j] and vals[j]:
                     acc = acc + ech[r][j] * vals[j]
-            vals[c] = -acc / ech[r][c]
+            vals[c] = -acc // ech[r][c]
         basis.append([vals[j] for j in range(ncols)])
     return basis, [ech[r][c] for (r, c) in pivots]

@@ -266,6 +266,10 @@ class MPoly:
             return NotImplemented
         return exact_div(self, other)
 
+    # the exact quotient is also `//`, so linsolve's elimination divides
+    # MPoly and int entries alike
+    __floordiv__ = __truediv__
+
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")

@@ -1,5 +1,6 @@
 """Conic extraction, incompatibility verdicts, end-to-end certificates."""
 
+import hashlib
 import json
 import random
 import time
@@ -240,6 +241,16 @@ class TestConicIncompatibility:
         with pytest.raises(ValueError):
             conic_incompatibility([_diag_form(0, "K1")], {})
 
+    def test_missing_parameter_named(self, pipeline):
+        # every parameter the forms carry and the point lacks is named;
+        # parameters the forms do not carry are accepted
+        forms = pipeline["c_zero"][4]
+        with pytest.raises(ValueError, match=r"lacks parameter\(s\) e$"):
+            conic_incompatibility(forms, {"b": 1})
+        with pytest.raises(ValueError, match=r"lacks parameter\(s\) b, e$"):
+            conic_incompatibility(forms, {"c": 1})
+        assert conic_incompatibility(forms, {"b": 1, "c": 1, "e": 1}).verdict == "incompatible"
+
     def test_generic_branch_point(self, pipeline):
         _, _, _, _, forms = pipeline["generic"]
         res = conic_incompatibility(forms, {"b": 1, "c": 1, "e": 1})
@@ -294,6 +305,19 @@ class TestConicIncompatibility:
             sp = [form_poly(f, pt) for f in forms]
             exists, _ = common_projective_zero_exists([f for f in sp if not f.is_zero])
             assert (res.verdict == "incompatible") == (not exists)
+        # rational points, denominators 2-9, on every branch: each row is
+        # scaled to integers by its own denominator powers
+        for br in BRANCHES:
+            _, _, _, _, forms = pipeline[br.name]
+            for _ in range(3):
+                pt = {v: Fraction(rng.choice([k for k in range(-9, 10) if k]),
+                                  rng.randint(2, 9)) for v in br.live}
+                res = conic_incompatibility(forms, pt)
+                sp = [form_poly(f, pt) for f in forms]
+                exists, why = common_projective_zero_exists([f for f in sp if not f.is_zero])
+                assert res.verdict == ("compatible" if exists else "incompatible"), (pt, why)
+                if res.witness is not None:
+                    assert all(form_value(f, res.witness, pt).is_zero for f in forms)
 
     def test_oracle_agreement_random_systems_every_nullity(self):
         # 2-6 random conics through 0, 1 or 2 random rational points: the
@@ -319,6 +343,50 @@ class TestConicIncompatibility:
                            if line.startswith("rank "))
             nullities.add(min(nullity, 3))
         assert nullities == {0, 1, 2, 3}
+
+    def test_rational_point_transcripts_pinned(self, pipeline):
+        # one sha256 over (verdict, witness, description, transcript) of
+        # decisions at rational points: the pipeline branches at denominators
+        # 2-9 and at the decide benchmark's tall heights (b, c near 10^6 /
+        # 10^6, e an integer near 10^6), and random conic systems over Q[b, c]
+        # through 0-2 parametric points, at every nullity
+        rng = random.Random(31)
+
+        def small():
+            return Fraction(rng.choice([k for k in range(-20, 21) if k]), rng.randint(2, 9))
+
+        def tall(p):
+            n = rng.choice((-1, 1)) * rng.randint(5 * 10 ** 5, 2 * 10 ** 6)
+            return Fraction(n) if p == "e" else Fraction(n, rng.randint(5 * 10 ** 5, 2 * 10 ** 6))
+
+        decisions = []
+        for br in BRANCHES:
+            forms = pipeline[br.name][4]
+            for draw in [small] * 4 + [tall] * 2:
+                pt = {p: draw() if draw is small else draw(p) for p in br.live}
+                decisions.append(conic_incompatibility(forms, pt))
+
+        def coeff():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+        nullities = set()
+        for _ in range(60):
+            points = [[coeff() + coeff() * b + coeff() * c * b for _ in range(3)]
+                      for _ in range(rng.randint(0, 2))]
+            conics = [_random_conic(rng, points) for _ in range(rng.randint(2, 6))]
+            forms = extract_forms(sum((q * x ** i for i, q in enumerate(conics)),
+                                      MPoly.zero()))
+            for pt in ({"b": small(), "c": small()}, {"b": tall("b"), "c": tall("c")}):
+                res = conic_incompatibility(forms, pt)
+                decisions.append(res)
+                nullities.add(min(3, next(int(line.rsplit(" ", 1)[1])
+                                          for line in res.transcript
+                                          if line.startswith("rank "))))
+        assert nullities == {0, 1, 2, 3}
+        text = "\n".join(repr((r.verdict, r.witness and tuple(map(str, r.witness)),
+                               r.witness_description, r.transcript)) for r in decisions)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8f1aad95c6b7d1c44c43e208b534fa428fde15bbdedeab87817ec861f4c32642")
 
 
 class TestInverseSquareWitness:

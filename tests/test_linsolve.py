@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quartic_nve.linsolve import matrix_kernel
 from quartic_nve.mpoly import MPoly
 
@@ -52,13 +54,14 @@ def _random_matrix(rng, m, n, rank):
     """m x n integer matrix of rank <= `rank`, as a product of random factors."""
     left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(m)]
     right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
-    return [[Fraction(sum(left[i][k] * right[k][j] for k in range(rank)))
+    return [[sum(left[i][k] * right[k][j] for k in range(rank))
              for j in range(n)] for i in range(m)]
 
 
 def test_rational_kernel_matches_sympy_nullspace():
-    # over Q the vectors, each divided by its free-column entry (its last
-    # nonzero entry), are sympy's reduced echelon nullspace, in order
+    # integer rows stay integer; over Q the vectors, each divided by its
+    # free-column entry (its last nonzero entry), are sympy's reduced
+    # echelon nullspace, in order
     import sympy
     rng = random.Random(20260)
     ranks = set()
@@ -66,6 +69,7 @@ def test_rational_kernel_matches_sympy_nullspace():
         m, n = rng.randint(1, 6), rng.randint(1, 7)
         rows = _random_matrix(rng, m, n, rng.randint(0, min(m, n)))
         basis, _ = matrix_kernel(rows, n)
+        assert all(type(v) is int for vec in basis for v in vec)
         expected = sympy.Matrix(rows).nullspace()
         ranks.add((n - len(expected), min(m, n)))
         assert len(basis) == len(expected)
@@ -75,6 +79,14 @@ def test_rational_kernel_matches_sympy_nullspace():
                 Fraction(int(e.p), int(e.q)) for e in ref]
     assert {r for r, _ in ranks} >= {0, 1, 2, 3, 4}
     assert any(r == full for r, full in ranks if r)
+
+
+def test_entries_that_would_floor_rejected():
+    # `//` floors a Fraction or a float silently; only int and MPoly rows
+    # have exact quotients
+    for bad, name in ((Fraction(1, 2), "Fraction"), (0.5, "float")):
+        with pytest.raises(TypeError, match=name):
+            matrix_kernel([[1, 2, 3], [4, bad, 6]], 3)
 
 
 def test_polynomial_kernel_stays_in_the_ring():
