@@ -352,7 +352,7 @@ class TestConicIncompatibility:
         # through 0-2 parametric points, at every nullity
         rng = random.Random(31)
 
-        def small():
+        def small(p=None):
             return Fraction(rng.choice([k for k in range(-20, 21) if k]), rng.randint(2, 9))
 
         def tall(p):
@@ -363,7 +363,7 @@ class TestConicIncompatibility:
         for br in BRANCHES:
             forms = pipeline[br.name][4]
             for draw in [small] * 4 + [tall] * 2:
-                pt = {p: draw() if draw is small else draw(p) for p in br.live}
+                pt = {p: draw(p) for p in br.live}
                 decisions.append(conic_incompatibility(forms, pt))
 
         def coeff():
