@@ -111,12 +111,14 @@ class Trajectory(NamedTuple):
                          _max_abs(s[3] for s in self.states)))
 
 
-def _hamilton_rhs(npot: NumericPotential) -> Callable[[State], State]:
+Rhs = Callable[[float, float, float, float], State]
+
+
+def _hamilton_rhs(npot: NumericPotential) -> Rhs:
     """Hamilton's equations on the state (x1, y1, x2, y2)."""
     f1, f2 = npot.dv_dx1, npot.dv_dx2
 
-    def rhs(s):
-        x1, y1, x2, y2 = s
+    def rhs(x1, y1, x2, y2):
         return (y1, -f1(x1, x2), y2, -f2(x1, x2))
 
     return rhs
@@ -131,16 +133,25 @@ def _step_count(horizon: float, dt: float) -> int:
     return int(round(horizon / dt))
 
 
-def _rk4_step(rhs: Callable[[State], State], s: State, dt: float) -> State:
-    """One classical fourth-order Runge-Kutta step of s' = rhs(s)."""
+def _rk4_step(rhs: Rhs, s: State, dt: float) -> State:
+    """One classical fourth-order Runge-Kutta step of s' = rhs(*s).
+
+    rhs takes the four components (x1, y1, x2, y2) as separate floats and
+    returns their derivatives as a 4-tuple.  Each component is combined as
+    a + h * k per stage and a + dt/6 * (k1 + 2 k2 + 2 k3 + k4) at the end,
+    the operation order of the same step on arrays, so both agree bit for bit.
+    """
+    x1, y1, x2, y2 = s
     h = 0.5 * dt
-    k1 = rhs(s)
-    k2 = rhs(tuple(a + h * k for a, k in zip(s, k1)))
-    k3 = rhs(tuple(a + h * k for a, k in zip(s, k2)))
-    k4 = rhs(tuple(a + dt * k for a, k in zip(s, k3)))
+    a1, b1, c1, d1 = rhs(x1, y1, x2, y2)
+    a2, b2, c2, d2 = rhs(x1 + h * a1, y1 + h * b1, x2 + h * c1, y2 + h * d1)
+    a3, b3, c3, d3 = rhs(x1 + h * a2, y1 + h * b2, x2 + h * c2, y2 + h * d2)
+    a4, b4, c4, d4 = rhs(x1 + dt * a3, y1 + dt * b3, x2 + dt * c3, y2 + dt * d3)
     w = dt / 6.0
-    return tuple(a + w * (p + 2 * q + 2 * r + u)
-                 for a, p, q, r, u in zip(s, k1, k2, k3, k4))
+    return (x1 + w * (a1 + 2 * a2 + 2 * a3 + a4),
+            y1 + w * (b1 + 2 * b2 + 2 * b3 + b4),
+            x2 + w * (c1 + 2 * c2 + 2 * c3 + c4),
+            y2 + w * (d1 + 2 * d2 + 2 * d3 + d4))
 
 
 def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
@@ -162,9 +173,11 @@ def integrate_hamilton(pot: NumericPotential, init: Sequence[float], dt: float,
     states = [state]
     diverged = False
     for _ in range(steps):
-        state = _rk4_step(rhs, state, dt)
+        state = x1, y1, x2, y2 = _rk4_step(rhs, state, dt)
         states.append(state)
-        if not all(map(math.isfinite, state)) or max(map(abs, state)) > DIVERGENCE_LIMIT:
+        # NaN and inf fail <= as well
+        if not (abs(x1) <= DIVERGENCE_LIMIT and abs(y1) <= DIVERGENCE_LIMIT
+                and abs(x2) <= DIVERGENCE_LIMIT and abs(y2) <= DIVERGENCE_LIMIT):
             diverged = True
             break
     return Trajectory([i * dt for i in range(len(states))], states,
@@ -216,7 +229,9 @@ def variational_consistency(pot: NumericPotential, init: Sequence[float],
 
     Integrates (i) the full system from the plane point displaced by
     (0, 0, delta, 0) and (ii) xi'' = alpha(x1(t)) xi with xi(0) = delta
-    along the unperturbed plane trajectory; returns max |x2 - xi| / delta.
+    along the unperturbed plane trajectory; returns max |x2 - xi| / |delta|,
+    NaN if the orbit diverges.  Non-finite initial data or delta, and bad dt
+    or horizon, raise ValueError.
 
     With a cubic term beta*x2^3 the deviation is first order in delta.
     With beta = 0 the transverse force is exactly linear in x2, and the
@@ -225,24 +240,29 @@ def variational_consistency(pot: NumericPotential, init: Sequence[float],
     the size of alpha along the orbit; a fixed threshold on it therefore
     holds only for bounded alpha.
     """
-    x10, y10, x20, y20 = (float(v) for v in init)
+    x10, y10, x20, y20 = init = tuple(float(v) for v in init)
+    if not all(map(math.isfinite, init)):
+        raise ValueError("initial state must be finite")
     if x20 != 0.0 or y20 != 0.0:
         raise ValueError("initial state must lie on the invariant plane")
     steps = _step_count(horizon, dt)
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if delta == 0:
         return 0.0
     rhs_full = _hamilton_rhs(pot)
     f1 = pot.dv_dx1
     alpha_c = pot.alpha_coeffs
 
-    def rhs_nve(s):
-        x1, y1, xi, xidot = s
+    def rhs_nve(x1, y1, xi, xidot):
         return (y1, -f1(x1, 0.0), xidot, _horner(alpha_c, x1) * xi)
 
-    full = nve = (x10, y10, float(delta), 0.0)
-    err = 0.0
+    full = nve = (x10, y10, delta, 0.0)
+    # the deviation at t = 0 is 0; _max_abs keeps a NaN from a diverged orbit
+    deviations = [0.0]
     for _ in range(steps):
         full = _rk4_step(rhs_full, full, dt)
         nve = _rk4_step(rhs_nve, nve, dt)
-        err = max(err, abs(full[2] - nve[2]))
-    return err / delta
+        deviations.append(full[2] - nve[2])
+    return _max_abs(deviations) / abs(delta)

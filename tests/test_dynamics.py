@@ -143,27 +143,49 @@ class TestDegreeTest:
         assert not ok and math.isnan(residual)
 
 
+def reference_step(rhs, s, dt):
+    """numpy oracle: one classical RK4 step on arrays."""
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * dt * k1)
+    k3 = rhs(s + 0.5 * dt * k2)
+    k4 = rhs(s + dt * k3)
+    return s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_rhs(npot):
+    f1, f2 = npot.dv_dx1, npot.dv_dx2
+    return lambda s: np.array([s[1], -f1(s[0], s[2]), s[3], -f2(s[0], s[2])])
+
+
 def reference_run(npot, init, dt, horizon):
     """numpy oracle: RK4 on arrays, np.polyval samples, np.diff metric."""
-    f1, f2 = npot.dv_dx1, npot.dv_dx2
-
-    def rhs(s):
-        return np.array([s[1], -f1(s[0], s[2]), s[3], -f2(s[0], s[2])])
-
+    rhs = reference_rhs(npot)
     rows = [np.array(init, dtype=float)]
     for _ in range(int(round(horizon / dt))):
-        s = rows[-1]
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * dt * k1)
-        k3 = rhs(s + 0.5 * dt * k2)
-        k4 = rhs(s + dt * k3)
-        rows.append(s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        rows.append(reference_step(rhs, rows[-1], dt))
         if not np.all(np.isfinite(rows[-1])) or np.max(np.abs(rows[-1])) > DIVERGENCE_LIMIT:
             break
     states = np.array(rows)
     energies = np.array([npot.hamiltonian(s) for s in states])
     samples = np.polyval(np.array(npot.alpha_coeffs), states[:, 0])
     return states, energies, samples
+
+
+def reference_variational(npot, init, delta, dt, horizon):
+    """numpy oracle: both runs of variational_consistency on arrays, the
+    normal variational equation's alpha by np.polyval."""
+    f1, alpha = npot.dv_dx1, np.array(npot.alpha_coeffs)
+    rhs_full = reference_rhs(npot)
+
+    def rhs_nve(s):
+        return np.array([s[1], -f1(s[0], 0.0), s[3], np.polyval(alpha, s[0]) * s[2]])
+
+    full = [np.array([init[0], init[1], delta, 0.0])]
+    nve = list(full)
+    for _ in range(int(round(horizon / dt))):
+        full.append(reference_step(rhs_full, full[-1], dt))
+        nve.append(reference_step(rhs_nve, nve[-1], dt))
+    return float(np.max(np.abs(np.array(full)[:, 2] - np.array(nve)[:, 2]))) / abs(delta)
 
 
 def reference_metric(samples, degree):
@@ -211,6 +233,18 @@ class TestBitwiseReference:
         np.testing.assert_array_equal(traj.energies, energies)
         assert math.isnan(traj.energy_drift()) and math.isnan(traj.max_plane_deviation())
 
+    @pytest.mark.parametrize("text, init", [
+        ("1 + (x1^4+1)*x2^2", (0.5, 1.0, 0.0, 0.0)),
+        ("1 + (x1^4+1)*x2^2 + (2 - x1)*x2^3", (0.5, 1.0, 0.0, 0.0)),
+        ("3 + (-3 + 3*x1 - 3*x1^2 - 2*x1^3 - 2*x1^4)*x2^2", (1.197, 1.353, 0.0, 0.0)),
+    ])
+    def test_variational(self, text, init):
+        npot = numeric(text)
+        # a negative delta is divided out by its magnitude
+        for delta in (1e-6, -1e-6):
+            assert (variational_consistency(npot, init, delta=delta)
+                    == reference_variational(npot, init, delta, 1e-3, 1.0))
+
 
 class TestForwardDirection:
     def test_members_pass_quartic_fail_cubic(self):
@@ -244,6 +278,13 @@ class TestVariationalConsistency:
     def test_zero_delta(self):
         assert variational_consistency(numeric("1 + x1*x2^2"), (1.0, 0.0, 0.0, 0.0),
                                        delta=0.0) == 0.0
+
+    def test_diverged_orbit_is_nan(self):
+        # the orbit of TestBitwiseReference.test_overflowing_power: a NaN
+        # deviation is not dropped by the running maximum
+        err = variational_consistency(numeric("-x1^12 + (x1^4+1)*x2^2"),
+                                      (5e7, 1.0, 0.0, 0.0))
+        assert math.isnan(err)
 
     def test_linear_alpha_small_error(self):
         # beta = 0, alpha linear: deviation per delta stays below 1e-3
@@ -287,16 +328,23 @@ class TestVariationalConsistency:
         for dt in (5e-4, 2.5e-4):
             assert abs(variational_consistency(pot, init, delta=1e-6, dt=dt) - e1) < 1e-9
 
-    def test_off_plane_rejected(self):
-        with pytest.raises(ValueError):
-            variational_consistency(numeric("1 + x1*x2^2"), (1.0, 0.0, 0.1, 0.0))
-
     @pytest.mark.parametrize("dt, horizon", [(0.0, 1.0), (math.nan, 1.0), (1e-3, math.inf),
                                              (5e-324, 1.0)])
     def test_bad_steps_rejected(self, dt, horizon):
         with pytest.raises(ValueError, match="dt and horizon|step count"):
             variational_consistency(numeric("1 + x1*x2^2"), (1.0, 0.0, 0.0, 0.0),
                                     dt=dt, horizon=horizon)
+
+    @pytest.mark.parametrize("init, delta, message", [
+        pytest.param((1.0, 0.0, 0.1, 0.0), 1e-6, "invariant plane", id="off-plane"),
+        pytest.param((math.nan, 0.0, 0.0, 0.0), 1e-6, "state must be finite", id="nan-init"),
+        pytest.param((1.0, math.inf, 0.0, 0.0), 1e-6, "state must be finite", id="inf-init"),
+        pytest.param((1.0, 0.0, 0.0, 0.0), math.nan, "delta must be finite", id="nan-delta"),
+        pytest.param((1.0, 0.0, 0.0, 0.0), -math.inf, "delta must be finite", id="inf-delta"),
+    ])
+    def test_bad_input_rejected(self, init, delta, message):
+        with pytest.raises(ValueError, match=message):
+            variational_consistency(numeric("1 + x1*x2^2"), init, delta=delta)
 
     def test_non_invariant_rejected(self):
         # no Potential violates invariance, so a NumericPotential, which is
